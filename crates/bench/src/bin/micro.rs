@@ -10,46 +10,35 @@
 //!
 //! Modes:
 //!
-//! * `cargo run --release -p cocco-bench --bin micro` — the full suite,
-//!   ending with the stepped-vs-monolithic parity check, the engine
-//!   benchmark (the same seeded GA on `resnet50` through the
-//!   full-evaluation reference, the incremental serial path and the
-//!   incremental parallel path under both pool lifecycles), the
-//!   interleaved-vs-sequential two-step comparison, the arena-vs-reference
-//!   comparison (`--arena on|off` selects the arm the other benchmarks
-//!   run under), a cache-capacity sweep, the key-build and pool-overhead
-//!   micro-measurements, and a `BENCH_engine.json` summary at the
-//!   repository root recording wall times, the subgraph-level hit rate,
-//!   the incremental scoring reduction, key-build cost, evictions, the
-//!   persistent-vs-scoped pool comparison, the arena arm's cached-batch
-//!   wall time, scratch footprint and batch-latency percentiles against
-//!   the reference arm's, the two-step arms' cross-candidate stats-cache
-//!   hit rates, the telemetry arm's per-batch dispatch-latency
-//!   percentiles (p50/p90/p99) and the facade's per-phase wall profile;
+//! * `cargo run --release -p cocco-bench --bin micro [-- --threads <n>]` —
+//!   the full suite, ending with the stepped-vs-monolithic parity check,
+//!   the engine benchmark (the same seeded GA on `resnet50` serially, at
+//!   `--threads` workers, and at `--threads` workers with a live telemetry
+//!   sink), the interleaved-vs-sequential two-step comparison, a
+//!   cache-capacity sweep, the key-build, pool-overhead and warmed
+//!   cached-batch micro-measurements, and a `BENCH_engine.json` summary at
+//!   the repository root recording wall times, the subgraph-level hit
+//!   rate, dispatch counters, scratch footprint, key-build cost,
+//!   evictions, the two-step arms' cross-candidate stats-cache hit rates,
+//!   the telemetry arm's per-batch dispatch-latency percentiles
+//!   (p50/p90/p99) and the facade's per-phase wall profile;
 //! * `cargo run --release -p cocco-bench --bin micro -- --smoke
-//!   [--threads <n>] [--pool scoped|persistent] [--chunk <n>|auto]` —
-//!   the CI smoke mode: a
-//!   scaled-down run of the same arms that asserts bit-identical results
-//!   across {full, incremental} × {serial, scoped, persistent} and the
-//!   {1, 2, 8} threads × {persistent, scoped} × {arena, reference}
-//!   determinism matrix, the ≥30% subgraph-scoring reduction, zero
-//!   hot-path allocations (per-probe keys and canonicalize fallbacks) on
-//!   the arena path, the fault-injection matrix (seeded fault schedules ×
-//!   threads × pool lifecycles: bit-identical completion or a structured
-//!   error with salvage — never a hang, a stranded budget sample or a
-//!   leaked temp file), stepped-vs-monolithic parity (driver loop +
-//!   JSON-resume == `run()`), the interleaved two-step's strictly
-//!   higher cross-candidate subgraph hit rate, telemetry's
-//!   zero-perturbation guarantee (a live sink leaves the seeded GA
-//!   bit-identical) and its bounded cost on the cached-score leaf (an L0
-//!   hit and a shared-shard hit), at the requested worker count — plus
-//!   the scale-out grid ({prefilter, L0, adaptive} on/off × thread
-//!   counts, under the `--chunk` size): bit-identical everywhere, with
-//!   the warm prefiltered arm dispatching strictly fewer pool jobs than
-//!   it scores candidates.
+//!   [--threads <n>]` — the CI smoke mode: a scaled-down run of the same
+//!   arms that asserts bit-identical results serial vs parallel vs
+//!   telemetry and across the {1, 2, 8}-thread determinism matrix (cost,
+//!   genome, trace and cache snapshot), zero hot-path allocations
+//!   (per-probe keys and canonicalize fallbacks), live memo reuse on the
+//!   delta path, the fault-injection matrix (seeded fault schedules ×
+//!   {1, n} threads: bit-identical completion or a structured error with
+//!   salvage — never a hang, a stranded budget sample or a leaked temp
+//!   file), stepped-vs-monolithic parity (driver loop + JSON-resume ==
+//!   `run()`), the interleaved two-step's strictly higher cross-candidate
+//!   subgraph hit rate, and telemetry's zero-perturbation guarantee (a
+//!   live sink leaves the seeded GA bit-identical) and bounded cost on
+//!   the cached-score leaf — at the requested worker count.
 
 use cocco::prelude::*;
-use cocco::telemetry::Stopwatch;
+use cocco::telemetry::{MetricsSnapshot, Stopwatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -101,16 +90,32 @@ fn fmt_time(seconds: f64) -> String {
     }
 }
 
+/// Everything one seeded GA run leaves behind: wall time, outcome, trace,
+/// the persisted cache image and the engine metrics.
+struct GaRun {
+    wall: Duration,
+    cost: f64,
+    best: Option<Genome>,
+    trace: Vec<TracePoint>,
+    snapshot: CacheSnapshot,
+    metrics: MetricsSnapshot,
+}
+
+impl GaRun {
+    fn stats(&self) -> EngineStats {
+        EngineStats::from_metrics(&self.metrics)
+    }
+}
+
 /// One timed GA run under an explicit engine configuration (optionally
-/// with a live telemetry sink); returns wall time plus the outcome
-/// fingerprint and engine statistics.
+/// with a live telemetry sink).
 fn ga_run(
     model: &Graph,
     budget: u64,
     population: usize,
     engine: EngineConfig,
     telemetry: Option<&Telemetry>,
-) -> (Duration, f64, Option<Genome>, EngineStats) {
+) -> GaRun {
     // A fresh evaluator per run so every arm starts with cold caches.
     let evaluator = Evaluator::new(model, AcceleratorConfig::default());
     let ctx = SearchContext::new(
@@ -127,40 +132,61 @@ fn ga_run(
     let ga = CoccoGa::default().with_population(population).with_seed(42);
     let start = Stopwatch::start();
     let outcome = ga.run(&ctx);
-    (
-        start.elapsed(),
-        outcome.best_cost,
-        outcome.best,
-        ctx.engine().stats(),
-    )
+    GaRun {
+        wall: start.elapsed(),
+        cost: outcome.best_cost,
+        best: outcome.best,
+        trace: ctx.trace().points(),
+        snapshot: ctx.engine().cache().snapshot(),
+        metrics: ctx.engine().metrics(),
+    }
 }
 
-/// The engine benchmark: the same seeded GA on a ≥ 50-node model through
-/// the full-path serial reference, the incremental serial path, and the
-/// incremental parallel path under **both** pool lifecycles (persistent
-/// and scoped) at `threads` workers. Asserts bit-identical results across
-/// every arm (every host), a ≥ 30 % reduction in full subgraph scorings on
-/// the incremental path, zero per-probe key allocations, and the ≥ 2×
-/// batch-path speedup (hosts with ≥ 4 CPUs — a single-core container
-/// cannot physically speed up, so there the number is informational).
-/// `pool` selects which parallel arm the headline speedup is reported
-/// against; `arena` selects which allocation arm every run uses (results
-/// are bit-identical either way). Returns the JSON summary document.
-fn engine_bench(
-    smoke: bool,
-    threads: u32,
-    pool: PoolMode,
-    arena: bool,
-    chunk: ChunkSize,
-) -> serde_json::Value {
-    let arm = |config: EngineConfig| {
-        let config = config.with_chunk(chunk);
-        if arena {
-            config
-        } else {
-            config.without_arena()
-        }
-    };
+/// Asserts two runs agree on every observable output.
+fn assert_runs_identical(reference: &GaRun, other: &GaRun, cell: &str) {
+    assert_eq!(
+        reference.cost, other.cost,
+        "determinism violated: cost ({cell})"
+    );
+    assert_eq!(
+        reference.best, other.best,
+        "determinism violated: genome ({cell})"
+    );
+    assert_eq!(
+        reference.trace, other.trace,
+        "determinism violated: trace ({cell})"
+    );
+    assert_eq!(
+        reference.snapshot, other.snapshot,
+        "determinism violated: cache snapshot ({cell})"
+    );
+}
+
+/// Asserts the hot-path allocation tripwires of one run: zero per-probe
+/// keys, zero canonicalize fallbacks, and therefore zero `hot_allocs`.
+fn assert_hot_path_clean(stats: &EngineStats, cell: &str) {
+    assert_eq!(
+        stats.key_allocs, 0,
+        "{cell}: cache probes must build zero per-probe keys"
+    );
+    assert_eq!(
+        stats.stats_canonicalize_fallbacks, 0,
+        "{cell}: engine-fed member lists must already be sorted"
+    );
+    assert_eq!(
+        stats.hot_allocs, 0,
+        "{cell}: the warmed scoring hot path must stay allocation-free"
+    );
+}
+
+/// The engine benchmark: the same seeded GA on a ≥ 50-node model serially,
+/// at `threads` workers, and at `threads` workers with a live telemetry
+/// sink. Asserts bit-identical results across the three arms (every
+/// host), live memo reuse on the delta path, zero hot-path allocations,
+/// warmed layout-arena reuse, and the ≥ 2× batch-path speedup (hosts with
+/// ≥ 4 CPUs — a single-core container cannot physically speed up, so
+/// there the number is informational). Returns the JSON summary document.
+fn engine_bench(smoke: bool, threads: u32) -> serde_json::Value {
     let model = cocco::graph::models::resnet50();
     let (budget, population) = if smoke { (600, 50) } else { (3_000, 100) };
     let host_cpus = || {
@@ -175,177 +201,77 @@ fn engine_bench(
         host_cpus(),
     );
 
-    let (full_wall, full_cost, full_best, full_stats) = ga_run(
+    let serial = ga_run(&model, budget, population, EngineConfig::serial(), None);
+    // The parallel arm stamps the CPU count it actually ran with —
+    // container CPU quotas can change between arms.
+    let parallel_cpus = host_cpus();
+    let parallel = ga_run(
         &model,
         budget,
         population,
-        arm(EngineConfig::serial().without_incremental()),
-        None,
-    );
-    let (serial_wall, serial_cost, serial_best, serial_stats) = ga_run(
-        &model,
-        budget,
-        population,
-        arm(EngineConfig::serial()),
-        None,
-    );
-    // Each pool arm is its own timed run, and each stamps the CPU count
-    // it actually ran with — container CPU quotas can change between
-    // arms, and a shared stamp would misattribute one arm's wall time to
-    // the other's parallelism budget.
-    let persistent_cpus = host_cpus();
-    let (persistent_wall, persistent_cost, persistent_best, persistent_stats) = ga_run(
-        &model,
-        budget,
-        population,
-        arm(EngineConfig::with_threads(threads)),
-        None,
-    );
-    let scoped_cpus = host_cpus();
-    let (scoped_wall, scoped_cost, scoped_best, scoped_stats) = ga_run(
-        &model,
-        budget,
-        population,
-        arm(EngineConfig::with_threads(threads).with_pool(PoolMode::Scoped)),
+        EngineConfig::with_threads(threads),
         None,
     );
     // Telemetry arm: the same seeded parallel GA with a live sink.
     // Observation only — results must stay bit-identical — and the sink
     // yields the per-batch dispatch latency histogram for the summary.
     let telemetry = Telemetry::enabled();
-    let (telemetry_wall, telemetry_cost, telemetry_best, _) = ga_run(
+    let observed = ga_run(
         &model,
         budget,
         population,
-        arm(EngineConfig::with_threads(threads)),
+        EngineConfig::with_threads(threads),
         Some(&telemetry),
     );
-    assert_eq!(
-        serial_cost, telemetry_cost,
-        "telemetry perturbed the engine: best costs differ with a live sink"
-    );
-    assert_eq!(
-        serial_best, telemetry_best,
-        "telemetry perturbed the engine: best genomes differ with a live sink"
-    );
+    assert_runs_identical(&serial, &parallel, &format!("serial vs {threads} threads"));
+    assert_runs_identical(&serial, &observed, "telemetry arm");
     let batch_latency = telemetry
         .snapshot()
         .histogram("engine.batch.latency_ns")
         .cloned()
         .expect("a GA run dispatches batches");
 
-    assert_eq!(
-        full_cost, serial_cost,
-        "engine determinism violated: full and incremental best costs differ"
-    );
-    assert_eq!(
-        full_best, serial_best,
-        "engine determinism violated: full and incremental best genomes differ"
-    );
-    assert_eq!(
-        serial_cost, persistent_cost,
-        "engine determinism violated: serial and persistent-pool best costs differ"
-    );
-    assert_eq!(
-        serial_best, persistent_best,
-        "engine determinism violated: serial and persistent-pool best genomes differ"
-    );
-    assert_eq!(
-        serial_cost, scoped_cost,
-        "engine determinism violated: serial and scoped-pool best costs differ"
-    );
-    assert_eq!(
-        serial_best, scoped_best,
-        "engine determinism violated: serial and scoped-pool best genomes differ"
-    );
-    let stats = match pool {
-        PoolMode::Persistent => persistent_stats,
-        PoolMode::Scoped => scoped_stats,
-    };
+    let serial_stats = serial.stats();
+    let stats = parallel.stats();
     assert!(stats.cache_hits > 0, "GA run never hit the eval cache");
     assert!(
-        stats.subgraph_reused > 0,
+        serial_stats.subgraph_reused > 0,
         "GA offspring never reused a memoized subgraph term"
     );
-    for (arm, arm_stats) in [
-        ("incremental serial", &serial_stats),
-        ("incremental persistent", &persistent_stats),
-        ("incremental scoped", &scoped_stats),
-    ] {
-        assert_eq!(
-            arm_stats.key_allocs, 0,
-            "{arm}: the incremental path must build zero per-probe keys \
-             ({} allocations recorded)",
-            arm_stats.key_allocs,
-        );
-        assert_eq!(
-            arm_stats.stats_canonicalize_fallbacks, 0,
-            "{arm}: engine-fed member lists must already be sorted \
-             ({} canonicalize fallbacks recorded)",
-            arm_stats.stats_canonicalize_fallbacks,
-        );
-        assert_eq!(
-            arm_stats.hot_allocs, 0,
-            "{arm}: the warmed scoring hot path must stay allocation-free \
-             ({} instrumented allocations recorded)",
-            arm_stats.hot_allocs,
-        );
+    for (arm, arm_stats) in [("serial", &serial_stats), ("parallel", &stats)] {
+        assert_hot_path_clean(arm_stats, arm);
     }
-    let scoring_reduction =
-        1.0 - serial_stats.subgraph_scorings as f64 / full_stats.subgraph_scorings.max(1) as f64;
+    let metrics = &parallel.metrics;
     assert!(
-        scoring_reduction >= 0.30,
-        "incremental path must avoid >= 30% of full subgraph scorings \
-         (full {} vs incremental {}, reduction {:.0}%)",
-        full_stats.subgraph_scorings,
-        serial_stats.subgraph_scorings,
-        scoring_reduction * 100.0,
+        metrics.counter("engine.arena.reuses") > 0,
+        "the layout arenas never reused a warmed buffer"
     );
 
-    let full_ms = full_wall.as_secs_f64() * 1e3;
-    let serial_ms = serial_wall.as_secs_f64() * 1e3;
-    let persistent_ms = persistent_wall.as_secs_f64() * 1e3;
-    let scoped_ms = scoped_wall.as_secs_f64() * 1e3;
-    // The headline speedup reports the selected pool arm's own run — the
-    // summary below records both arms' measurements separately, never one
-    // number under two names.
-    let headline_ms = match pool {
-        PoolMode::Persistent => persistent_ms,
-        PoolMode::Scoped => scoped_ms,
-    };
-    let speedup = serial_ms / headline_ms;
+    let serial_ms = serial.wall.as_secs_f64() * 1e3;
+    let parallel_ms = parallel.wall.as_secs_f64() * 1e3;
+    let speedup = serial_ms / parallel_ms;
     println!(
-        "full path (1 thread) : {:>10}  ({} subgraph scorings)",
-        fmt_time(full_wall.as_secs_f64()),
-        full_stats.subgraph_scorings,
-    );
-    println!(
-        "incremental (1 thr)  : {:>10}  ({} scorings, {} cached, {} reused)",
-        fmt_time(serial_wall.as_secs_f64()),
+        "serial (1 thr)       : {:>10}  ({} scorings, {} cached, {} reused)",
+        fmt_time(serial.wall.as_secs_f64()),
         serial_stats.subgraph_scorings,
         serial_stats.subgraph_hits,
         serial_stats.subgraph_reused,
     );
     println!(
-        "persistent ({threads} thr)   : {:>10}",
-        fmt_time(persistent_wall.as_secs_f64())
-    );
-    println!(
-        "scoped ({threads} thr)       : {:>10}",
-        fmt_time(scoped_wall.as_secs_f64())
+        "parallel ({threads} thr)     : {:>10}  ({} jobs, {} units, {} inline batches)",
+        fmt_time(parallel.wall.as_secs_f64()),
+        metrics.counter("engine.pool.dispatched"),
+        metrics.counter("engine.pool.chunks"),
+        metrics.counter("engine.pool.inline_batches"),
     );
     println!(
         "telemetry ({threads} thr)    : {:>10}  ({} batches, p50 {}, p99 {})",
-        fmt_time(telemetry_wall.as_secs_f64()),
+        fmt_time(observed.wall.as_secs_f64()),
         batch_latency.count,
         fmt_time(batch_latency.p50() as f64 / 1e9),
         fmt_time(batch_latency.p99() as f64 / 1e9),
     );
-    println!("speedup (threads)    : {speedup:.2}x ({pool:?} pool)");
-    println!(
-        "scoring reduction    : {:.0}% fewer full subgraph scorings",
-        scoring_reduction * 100.0
-    );
+    println!("speedup (threads)    : {speedup:.2}x");
     println!(
         "subgraph hit rate    : {:.0}%",
         serial_stats.subgraph_hit_rate() * 100.0
@@ -360,8 +286,14 @@ fn engine_bench(
         stats.evictions(),
     );
     println!(
-        "results              : bit-identical full vs incremental vs persistent vs scoped ✓ \
-         (0 per-probe key allocations)"
+        "scratch              : {} B, {} layout reuses, {} grows",
+        metrics.gauge("engine.arena.bytes"),
+        metrics.counter("engine.arena.reuses"),
+        metrics.counter("engine.arena.grows"),
+    );
+    println!(
+        "results              : bit-identical serial vs parallel vs telemetry ✓ \
+         (0 hot-path allocations)"
     );
     let cpus_now = host_cpus();
     if cpus_now >= 4 && !smoke {
@@ -377,84 +309,32 @@ fn engine_bench(
         );
     }
 
+    let u64_value = |v: u64| serde_json::to_value(&v);
     let doc = vec![
         ("model".to_string(), serde_json::to_value(&model.name())),
-        (
-            "nodes".to_string(),
-            serde_json::to_value(&(model.len() as u64)),
-        ),
+        ("nodes".to_string(), u64_value(model.len() as u64)),
         ("budget".to_string(), serde_json::to_value(&budget)),
-        (
-            "population".to_string(),
-            serde_json::to_value(&(population as u64)),
-        ),
-        (
-            "threads".to_string(),
-            serde_json::to_value(&u64::from(threads)),
-        ),
-        (
-            "host_cpus".to_string(),
-            serde_json::to_value(&(cpus_now as u64)),
-        ),
-        ("full_ms".to_string(), serde_json::to_value(&full_ms)),
+        ("population".to_string(), u64_value(population as u64)),
+        ("threads".to_string(), u64_value(u64::from(threads))),
+        ("host_cpus".to_string(), u64_value(cpus_now as u64)),
         ("serial_ms".to_string(), serde_json::to_value(&serial_ms)),
         (
-            "parallel_persistent".to_string(),
+            "parallel".to_string(),
             serde_json::Value::Object(vec![
-                ("wall_ms".to_string(), serde_json::to_value(&persistent_ms)),
-                (
-                    "host_cpus".to_string(),
-                    serde_json::to_value(&(persistent_cpus as u64)),
-                ),
-                (
-                    "speedup".to_string(),
-                    serde_json::to_value(&(serial_ms / persistent_ms)),
-                ),
+                ("wall_ms".to_string(), serde_json::to_value(&parallel_ms)),
+                ("host_cpus".to_string(), u64_value(parallel_cpus as u64)),
+                ("speedup".to_string(), serde_json::to_value(&speedup)),
             ]),
         ),
-        (
-            "parallel_scoped".to_string(),
-            serde_json::Value::Object(vec![
-                ("wall_ms".to_string(), serde_json::to_value(&scoped_ms)),
-                (
-                    "host_cpus".to_string(),
-                    serde_json::to_value(&(scoped_cpus as u64)),
-                ),
-                (
-                    "speedup".to_string(),
-                    serde_json::to_value(&(serial_ms / scoped_ms)),
-                ),
-            ]),
-        ),
-        (
-            "pool".to_string(),
-            serde_json::to_value(&format!("{pool:?}").to_lowercase()),
-        ),
-        ("speedup".to_string(), serde_json::to_value(&speedup)),
-        (
-            "incremental_speedup".to_string(),
-            serde_json::to_value(&(full_ms / serial_ms)),
-        ),
-        ("evals".to_string(), serde_json::to_value(&stats.evals)),
-        (
-            "cache_hits".to_string(),
-            serde_json::to_value(&stats.cache_hits),
-        ),
+        ("evals".to_string(), u64_value(stats.evals)),
+        ("cache_hits".to_string(), u64_value(stats.cache_hits)),
         (
             "cache_hit_rate".to_string(),
             serde_json::to_value(&stats.hit_rate()),
         ),
         (
-            "subgraph_scorings_full".to_string(),
-            serde_json::to_value(&full_stats.subgraph_scorings),
-        ),
-        (
-            "subgraph_scorings_incremental".to_string(),
-            serde_json::to_value(&serial_stats.subgraph_scorings),
-        ),
-        (
-            "subgraph_scoring_reduction".to_string(),
-            serde_json::to_value(&scoring_reduction),
+            "subgraph_scorings".to_string(),
+            u64_value(serial_stats.subgraph_scorings),
         ),
         (
             "subgraph_hit_rate".to_string(),
@@ -462,43 +342,50 @@ fn engine_bench(
         ),
         (
             "subgraph_reused".to_string(),
-            serde_json::to_value(&serial_stats.subgraph_reused),
+            u64_value(serial_stats.subgraph_reused),
+        ),
+        ("key_allocs".to_string(), u64_value(stats.key_allocs)),
+        ("hot_allocs".to_string(), u64_value(stats.hot_allocs)),
+        ("cache_evictions".to_string(), u64_value(stats.evictions())),
+        (
+            "dispatched_jobs".to_string(),
+            u64_value(metrics.counter("engine.pool.dispatched")),
         ),
         (
-            "key_allocs".to_string(),
-            serde_json::to_value(&serial_stats.key_allocs),
+            "dispatch_units".to_string(),
+            u64_value(metrics.counter("engine.pool.chunks")),
         ),
         (
-            "hot_allocs".to_string(),
-            serde_json::to_value(&serial_stats.hot_allocs),
+            "inline_batches".to_string(),
+            u64_value(metrics.counter("engine.pool.inline_batches")),
         ),
         (
-            "cache_evictions".to_string(),
-            serde_json::to_value(&stats.evictions()),
+            "l0_hits".to_string(),
+            u64_value(metrics.counter("engine.cache.l0_hits")),
+        ),
+        (
+            "arena_bytes".to_string(),
+            u64_value(metrics.gauge("engine.arena.bytes")),
+        ),
+        (
+            "arena_reuses".to_string(),
+            u64_value(metrics.counter("engine.arena.reuses")),
+        ),
+        (
+            "arena_grows".to_string(),
+            u64_value(metrics.counter("engine.arena.grows")),
         ),
         (
             "telemetry_ms".to_string(),
-            serde_json::to_value(&(telemetry_wall.as_secs_f64() * 1e3)),
+            serde_json::to_value(&(observed.wall.as_secs_f64() * 1e3)),
         ),
         (
             "batch_latency".to_string(),
             serde_json::Value::Object(vec![
-                (
-                    "count".to_string(),
-                    serde_json::to_value(&batch_latency.count),
-                ),
-                (
-                    "p50_ns".to_string(),
-                    serde_json::to_value(&batch_latency.p50()),
-                ),
-                (
-                    "p90_ns".to_string(),
-                    serde_json::to_value(&batch_latency.p90()),
-                ),
-                (
-                    "p99_ns".to_string(),
-                    serde_json::to_value(&batch_latency.p99()),
-                ),
+                ("count".to_string(), u64_value(batch_latency.count)),
+                ("p50_ns".to_string(), u64_value(batch_latency.p50())),
+                ("p90_ns".to_string(), u64_value(batch_latency.p90())),
+                ("p99_ns".to_string(), u64_value(batch_latency.p99())),
             ]),
         ),
         ("deterministic".to_string(), serde_json::to_value(&true)),
@@ -506,35 +393,22 @@ fn engine_bench(
     serde_json::Value::Object(doc)
 }
 
-/// The warmed cached-batch latency distribution of one arena arm:
-/// p50/p90/p99 nanoseconds per batch.
-struct CachedBatch {
-    p50: f64,
-    p90: f64,
-    p99: f64,
-}
-
-/// Measures the warmed cached-batch latency of one arena arm: a fixed
-/// set of repaired resnet50 partitions scored through
-/// `Engine::score_partition` until every roll-up is a cache hit, then
-/// per-batch wall-time samples of re-scoring the whole batch (pure hits
-/// — what a converged search population pays per generation). Both arms
-/// run identical work in identical order, so the distributions differ
-/// only by the reference arm's per-candidate member-list allocations.
-fn cached_batch(arena: bool) -> CachedBatch {
+/// Measures the warmed cached-batch latency: a fixed set of repaired
+/// resnet50 partitions scored through `Engine::score_partition` until
+/// every roll-up is a cache hit, then per-batch wall-time samples of
+/// re-scoring the whole batch (pure hits — what a converged search
+/// population pays per generation). Returns p50/p90/p99 nanoseconds per
+/// batch as JSON.
+fn cached_batch_bench() -> serde_json::Value {
     let model = cocco::graph::models::resnet50();
     let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
-    let mut config = EngineConfig::serial();
-    if !arena {
-        config = config.without_arena();
-    }
-    let engine = cocco::engine::Engine::new(config);
+    let engine = cocco::engine::Engine::new(EngineConfig::serial());
     let buffer = BufferConfig::shared(2 << 20);
     let partitions: Vec<Partition> = (2..=9)
         .map(|depth| repair(&model, Partition::depth_groups(&model, depth), &|_| true))
         .collect();
-    // Warm: every partition's roll-up lands in the cache, and the arena
-    // arm's layout buffers reach their steady-state capacity.
+    // Warm: every partition's roll-up lands in the cache, and the layout
+    // buffers reach their steady-state capacity.
     for _ in 0..8 {
         for partition in &partitions {
             engine.score_partition(&evaluator, partition, &buffer, EvalOptions::default(), None);
@@ -555,219 +429,53 @@ fn cached_batch(arena: bool) -> CachedBatch {
         samples.push(start.elapsed().as_secs_f64() * 1e9);
     }
     samples.sort_by(f64::total_cmp);
-    CachedBatch {
-        p50: samples[samples.len() / 2],
-        p90: samples[samples.len() * 9 / 10],
-        p99: samples[samples.len() * 99 / 100],
-    }
-}
-
-/// The arena-vs-reference comparison: the same seeded GA with the flat
-/// layout arenas on (the default) and off (`without_arena`), plus the
-/// warmed cached-batch microbench for both arms. Asserts bit-identical
-/// results, the zero-allocation tripwire on the arena arm, and that the
-/// arena arm's cached-batch wall time and batch-latency p50 are no worse
-/// than the reference arm's. Returns the JSON summary section.
-fn arena_bench(smoke: bool, threads: u32) -> serde_json::Value {
-    let model = cocco::graph::models::resnet50();
-    let (budget, population) = if smoke { (600, 50) } else { (3_000, 100) };
-    println!(
-        "\n== arena: GA on {} ({} nodes), budget {budget}, arena on vs off ==\n",
-        model.name(),
-        model.len()
-    );
-    // Arena arm: run with a live sink (for the latency histogram) and
-    // keep the context alive long enough to pull the arena metrics.
-    let run_arm = |arena: bool| {
-        let mut config = EngineConfig::with_threads(threads);
-        if !arena {
-            config = config.without_arena();
-        }
-        let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
-        let telemetry = Telemetry::enabled();
-        let ctx = SearchContext::new(
-            &model,
-            &evaluator,
-            BufferSpace::paper_shared(),
-            Objective::paper_energy_capacity(),
-            budget,
-        )
-        .with_engine_telemetry(config, &telemetry);
-        let ga = CoccoGa::default().with_population(population).with_seed(42);
-        let start = Stopwatch::start();
-        let outcome = ga.run(&ctx);
-        let wall = start.elapsed();
-        let metrics = ctx.engine().metrics();
-        let latency = metrics
-            .histogram("engine.batch.latency_ns")
-            .cloned()
-            .expect("a GA run dispatches batches");
-        (wall, outcome.best_cost, outcome.best, metrics, latency)
-    };
-    let (arena_wall, arena_cost, arena_best, arena_metrics, arena_latency) = run_arm(true);
-    let (ref_wall, ref_cost, ref_best, ref_metrics, ref_latency) = run_arm(false);
-    assert_eq!(
-        arena_cost, ref_cost,
-        "arena determinism violated: arena and reference best costs differ"
-    );
-    assert_eq!(
-        arena_best, ref_best,
-        "arena determinism violated: arena and reference best genomes differ"
-    );
-    for (name, metrics) in [("arena", &arena_metrics), ("reference", &ref_metrics)] {
-        assert_eq!(
-            metrics.counter("engine.hot_allocs"),
-            0,
-            "{name} arm: the warmed scoring hot path must stay allocation-free"
-        );
-    }
-    assert!(
-        arena_metrics.counter("engine.arena.reuses") > 0,
-        "the arena arm never reused a warmed layout buffer"
-    );
-    let arena_batch = cached_batch(true);
-    let ref_batch = cached_batch(false);
-    assert!(
-        arena_batch.p50 <= ref_batch.p50,
-        "arena regression: warmed cached-batch latency p50 {:.0} ns exceeds \
-         the reference arm's {:.0} ns",
-        arena_batch.p50,
-        ref_batch.p50,
-    );
-    let arena_ms = arena_wall.as_secs_f64() * 1e3;
-    let ref_ms = ref_wall.as_secs_f64() * 1e3;
-    println!(
-        "arena ({threads} thr)        : {:>10}  ({} B scratch, {} reuses, {} grows)",
-        fmt_time(arena_wall.as_secs_f64()),
-        arena_metrics.gauge("engine.arena.bytes"),
-        arena_metrics.counter("engine.arena.reuses"),
-        arena_metrics.counter("engine.arena.grows"),
+    let (p50, p90, p99) = (
+        samples[samples.len() / 2],
+        samples[samples.len() * 9 / 10],
+        samples[samples.len() * 99 / 100],
     );
     println!(
-        "reference ({threads} thr)    : {:>10}",
-        fmt_time(ref_wall.as_secs_f64())
+        "engine/cached_batch_resnet50_8_partitions  {:>12} p50 (p99 {})",
+        fmt_time(p50 / 1e9),
+        fmt_time(p99 / 1e9),
     );
-    println!(
-        "cached batch p50     : arena {:>10}   reference {:>10}",
-        fmt_time(arena_batch.p50 / 1e9),
-        fmt_time(ref_batch.p50 / 1e9),
-    );
-    println!(
-        "ga batch p50 (noisy) : arena {:>10}   reference {:>10}",
-        fmt_time(arena_latency.p50() as f64 / 1e9),
-        fmt_time(ref_latency.p50() as f64 / 1e9),
-    );
-    println!("results              : bit-identical arena vs reference ✓ (0 hot-path allocations)");
-    let latency_doc = |h: &cocco::telemetry::HistogramSnapshot| {
-        serde_json::Value::Object(vec![
-            ("count".to_string(), serde_json::to_value(&h.count)),
-            ("p50_ns".to_string(), serde_json::to_value(&h.p50())),
-            ("p90_ns".to_string(), serde_json::to_value(&h.p90())),
-            ("p99_ns".to_string(), serde_json::to_value(&h.p99())),
-        ])
-    };
     serde_json::Value::Object(vec![
-        ("arena_ms".to_string(), serde_json::to_value(&arena_ms)),
-        ("reference_ms".to_string(), serde_json::to_value(&ref_ms)),
-        (
-            "hot_allocs".to_string(),
-            serde_json::to_value(&arena_metrics.counter("engine.hot_allocs")),
-        ),
-        (
-            "arena_bytes".to_string(),
-            serde_json::to_value(&arena_metrics.gauge("engine.arena.bytes")),
-        ),
-        (
-            "arena_reuses".to_string(),
-            serde_json::to_value(&arena_metrics.counter("engine.arena.reuses")),
-        ),
-        (
-            "arena_grows".to_string(),
-            serde_json::to_value(&arena_metrics.counter("engine.arena.grows")),
-        ),
-        (
-            "batch_latency_arena".to_string(),
-            serde_json::Value::Object(vec![
-                ("p50_ns".to_string(), serde_json::to_value(&arena_batch.p50)),
-                ("p90_ns".to_string(), serde_json::to_value(&arena_batch.p90)),
-                ("p99_ns".to_string(), serde_json::to_value(&arena_batch.p99)),
-            ]),
-        ),
-        (
-            "batch_latency_reference".to_string(),
-            serde_json::Value::Object(vec![
-                ("p50_ns".to_string(), serde_json::to_value(&ref_batch.p50)),
-                ("p90_ns".to_string(), serde_json::to_value(&ref_batch.p90)),
-                ("p99_ns".to_string(), serde_json::to_value(&ref_batch.p99)),
-            ]),
-        ),
-        (
-            "ga_batch_latency_arena".to_string(),
-            latency_doc(&arena_latency),
-        ),
-        (
-            "ga_batch_latency_reference".to_string(),
-            latency_doc(&ref_latency),
-        ),
-        ("deterministic".to_string(), serde_json::to_value(&true)),
+        ("p50_ns".to_string(), serde_json::to_value(&p50)),
+        ("p90_ns".to_string(), serde_json::to_value(&p90)),
+        ("p99_ns".to_string(), serde_json::to_value(&p99)),
     ])
 }
 
-/// The determinism smoke matrix: the same seeded GA across {1, 2, 8}
-/// worker threads × both pool lifecycles × both arena arms — every cell
-/// must be bit-identical to the first, and the arena cells must record
-/// zero hot-path allocations.
-fn arena_matrix_check() {
+/// The determinism smoke matrix: the same seeded GA at {1, 2, 8} worker
+/// threads — every cell must match the first on cost, genome, trace and
+/// cache snapshot, and record zero hot-path allocations.
+fn thread_matrix_check() {
     let model = cocco::graph::models::googlenet();
     let (budget, population) = (240, 24);
-    let mut reference: Option<(f64, Option<Genome>)> = None;
+    let mut reference: Option<GaRun> = None;
     for threads in [1u32, 2, 8] {
-        for pool in [PoolMode::Persistent, PoolMode::Scoped] {
-            for arena in [true, false] {
-                let mut config = EngineConfig::with_threads(threads).with_pool(pool);
-                if !arena {
-                    config = config.without_arena();
-                }
-                let (_, cost, best, stats) = ga_run(&model, budget, population, config, None);
-                let cell = format!(
-                    "{threads} threads, {pool:?} pool, {} arm",
-                    if arena { "arena" } else { "reference" }
-                );
-                match &reference {
-                    Some((ref_cost, ref_best)) => {
-                        assert_eq!(
-                            *ref_cost, cost,
-                            "matrix determinism violated: cost ({cell})"
-                        );
-                        assert_eq!(
-                            *ref_best, best,
-                            "matrix determinism violated: genome ({cell})"
-                        );
-                    }
-                    None => reference = Some((cost, best)),
-                }
-                if arena {
-                    assert_eq!(
-                        stats.hot_allocs, 0,
-                        "{cell}: the warmed scoring hot path must stay allocation-free"
-                    );
-                    assert_eq!(
-                        stats.key_allocs, 0,
-                        "{cell}: cache probes must build zero per-probe keys"
-                    );
-                }
-            }
+        let run = ga_run(
+            &model,
+            budget,
+            population,
+            EngineConfig::with_threads(threads),
+            None,
+        );
+        let cell = format!("{threads} threads");
+        assert_hot_path_clean(&run.stats(), &cell);
+        match &reference {
+            Some(first) => assert_runs_identical(first, &run, &cell),
+            None => reference = Some(run),
         }
     }
     println!(
-        "arena matrix         : bit-identical across {{1,2,8}} threads × \
-         {{persistent,scoped}} × {{arena,reference}} ✓ (0 hot-path allocations)"
+        "thread matrix        : bit-identical cost, genome, trace and cache snapshot \
+         across {{1,2,8}} threads ✓ (0 hot-path allocations)"
     );
 }
 
-/// The fault-injection matrix: seeded fault schedules × {1, n} workers ×
-/// both pool lifecycles, driven through the facade with cache and
-/// checkpoint files. Transparent schedules (save-path faults, evaluator
+/// The fault-injection matrix: seeded fault schedules × {1, n} workers,
+/// driven through the facade with cache and checkpoint files. Transparent schedules (save-path faults, evaluator
 /// transients) must complete bit-identically to the fault-free baseline;
 /// the worker-panic schedule must degrade to a structured error carrying
 /// a salvaged best-so-far plus a resumable checkpoint; the
@@ -778,23 +486,20 @@ fn fault_matrix_check(threads: u32) {
     let dir = std::env::temp_dir().join(format!("cocco-fault-matrix-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("fault-matrix scratch dir");
     let model = cocco::graph::models::googlenet();
-    let cells: Vec<(u32, PoolMode)> = [1, threads.max(2)]
-        .iter()
-        .flat_map(|&t| [(t, PoolMode::Persistent), (t, PoolMode::Scoped)])
-        .collect();
-    let explore = |t: u32, pool: PoolMode, faults: FaultPlan, tag: &str| {
+    let cells = [1, threads.max(2)];
+    let explore = |t: u32, faults: FaultPlan, tag: &str| {
         Cocco::new()
             .with_budget(300)
             .with_seed(5)
-            .with_engine(EngineConfig::with_threads(t).with_pool(pool))
+            .with_engine(EngineConfig::with_threads(t))
             .with_cache_file(dir.join(format!("{tag}.cache.json")))
             .with_checkpoint_file(dir.join(format!("{tag}.ckpt.json")))
             .with_checkpoint_every(1)
             .with_faults(faults)
             .explore(&model)
     };
-    let baseline = explore(1, PoolMode::Persistent, FaultPlan::disabled(), "baseline")
-        .expect("the fault-free baseline completes");
+    let baseline =
+        explore(1, FaultPlan::disabled(), "baseline").expect("the fault-free baseline completes");
 
     // Transparent schedules: injected save failures retry, torn writes
     // get cleaned up, evaluator transients re-score. Fault draws happen
@@ -806,11 +511,11 @@ fn fault_matrix_check(threads: u32) {
         .with(FaultSite::SaveTorn, 0.2);
     let eval_rates = FaultRates::none().with(FaultSite::EvalError, 0.2);
     for (schedule, rates) in [("io_faults", io_rates), ("eval_transients", eval_rates)] {
-        for &(t, pool) in &cells {
-            let cell = format!("{schedule}, {t} threads, {pool:?} pool");
-            let tag = format!("{schedule}-{t}-{pool:?}").to_lowercase();
+        for t in cells {
+            let cell = format!("{schedule}, {t} threads");
+            let tag = format!("{schedule}-{t}");
             let plan = FaultPlan::seeded(11, rates);
-            let result = explore(t, pool, plan.clone(), &tag)
+            let result = explore(t, plan.clone(), &tag)
                 .unwrap_or_else(|e| panic!("{cell}: transparent schedule failed: {e}"));
             assert_eq!(
                 baseline.cost, result.cost,
@@ -834,6 +539,14 @@ fn fault_matrix_check(threads: u32) {
                     plan.health().eval_rescores > 0,
                     "fault matrix: the eval-transient schedule never fired ({cell})"
                 );
+                // Re-scores publish through the same funding-order path,
+                // so the persisted cache is byte-identical too. (Save
+                // faults may legitimately leave no file behind.)
+                assert_eq!(
+                    std::fs::read(dir.join("baseline.cache.json")).ok(),
+                    std::fs::read(dir.join(format!("{tag}.cache.json"))).ok(),
+                    "fault matrix: cache file drifted ({cell})"
+                );
             }
         }
     }
@@ -843,9 +556,9 @@ fn fault_matrix_check(threads: u32) {
     // best-so-far, keep its last periodic checkpoint, refund the
     // quarantined batch, and resume to completion once disarmed.
     let mut panic_reference: Option<(f64, u64)> = None;
-    for &(t, pool) in &cells {
-        let cell = format!("worker_panic, {t} threads, {pool:?} pool");
-        let tag = format!("worker_panic-{t}-{pool:?}").to_lowercase();
+    for t in cells {
+        let cell = format!("worker_panic, {t} threads");
+        let tag = format!("worker_panic-{t}");
         let ckpt = dir.join(format!("{tag}.ckpt.json"));
         let plan = FaultPlan::seeded(2, FaultRates::none().with(FaultSite::WorkerPanic, 0.002));
         // The injected panic is caught and quarantined by the engine, but
@@ -857,7 +570,7 @@ fn fault_matrix_check(threads: u32) {
         let result = Cocco::new()
             .with_budget(2_000)
             .with_seed(9)
-            .with_engine(EngineConfig::with_threads(t).with_pool(pool))
+            .with_engine(EngineConfig::with_threads(t))
             .with_checkpoint_file(&ckpt)
             .with_checkpoint_every(1)
             .with_faults(plan.clone())
@@ -897,7 +610,7 @@ fn fault_matrix_check(threads: u32) {
         let resumed = Cocco::new()
             .with_budget(2_000)
             .with_seed(9)
-            .with_engine(EngineConfig::with_threads(t).with_pool(pool))
+            .with_engine(EngineConfig::with_threads(t))
             .with_checkpoint_file(&ckpt)
             .explore(&model)
             .unwrap_or_else(|e| panic!("{cell}: disarmed resume failed: {e}"));
@@ -921,13 +634,13 @@ fn fault_matrix_check(threads: u32) {
     // cell.
     let small = cocco::graph::models::diamond();
     let mut revoke_reference: Option<(f64, u64)> = None;
-    for &(t, pool) in &cells {
-        let cell = format!("budget_revoke, {t} threads, {pool:?} pool");
+    for t in cells {
+        let cell = format!("budget_revoke, {t} threads");
         let plan = FaultPlan::seeded(4, FaultRates::none().with(FaultSite::BudgetRevoke, 0.05));
         let result = Cocco::new()
             .with_budget(5_000)
             .with_seed(3)
-            .with_engine(EngineConfig::with_threads(t).with_pool(pool))
+            .with_engine(EngineConfig::with_threads(t))
             .with_faults(plan.clone())
             .explore(&small)
             .unwrap_or_else(|e| panic!("{cell}: revocation must degrade, not fail: {e}"));
@@ -976,61 +689,39 @@ fn fault_matrix_check(threads: u32) {
     // cocco-audit: allow(R2) scratch cleanup; every assertion above already passed
     std::fs::remove_dir_all(&dir).ok();
     println!(
-        "fault matrix         : {{io,eval,panic,revoke}} schedules × {{1,{}}} threads × \
-         {{persistent,scoped}} ✓ (bit-identical or structured+salvaged, 0 stranded samples, \
-         0 temp leaks)",
+        "fault matrix         : {{io,eval,panic,revoke}} schedules × {{1,{}}} threads ✓ \
+         (bit-identical or structured+salvaged, 0 stranded samples, 0 temp leaks)",
         threads.max(2)
     );
 }
 
-/// Measures bare pool batch overhead: the wall time of dispatching a
-/// 64-job batch of trivial work through a `threads`-worker pool, scoped
-/// spawn vs persistent workers. Returns the two medians in nanoseconds;
-/// the persistent pool must not be slower — that is the whole point of
-/// keeping the threads alive.
-fn pool_overhead_bench(threads: u32) -> (f64, f64) {
-    let mut medians = [0.0f64; 2];
-    for (slot, mode) in [PoolMode::Scoped, PoolMode::Persistent]
-        .into_iter()
-        .enumerate()
-    {
-        let pool =
-            cocco::engine::EnginePool::new(&EngineConfig::with_threads(threads).with_pool(mode));
-        let sink = std::sync::atomic::AtomicU64::new(0);
-        // Warm up (spawns the persistent workers).
-        pool.run(64, |i| {
-            sink.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
-        });
-        let mut samples: Vec<f64> = (0..200)
-            .map(|_| {
-                let start = Stopwatch::start();
-                pool.run(64, |i| {
-                    sink.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
-                });
-                start.elapsed().as_secs_f64() * 1e9
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        medians[slot] = samples[samples.len() / 2];
-        std::hint::black_box(sink.load(std::sync::atomic::Ordering::Relaxed));
-    }
-    let (scoped_ns, persistent_ns) = (medians[0], medians[1]);
+/// Measures bare pool batch overhead: the median wall time of
+/// dispatching a 64-job batch of trivial work through a `threads`-worker
+/// pool, in nanoseconds.
+fn pool_overhead_bench(threads: u32) -> f64 {
+    let pool = cocco::engine::EnginePool::new(&EngineConfig::with_threads(threads));
+    let sink = std::sync::atomic::AtomicU64::new(0);
+    // Warm up (spawns the workers).
+    pool.run(64, |i| {
+        sink.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
+    });
+    let mut samples: Vec<f64> = (0..200)
+        .map(|_| {
+            let start = Stopwatch::start();
+            pool.run(64, |i| {
+                sink.fetch_add(i as u64, std::sync::atomic::Ordering::Relaxed);
+            });
+            start.elapsed().as_secs_f64() * 1e9
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    std::hint::black_box(sink.load(std::sync::atomic::Ordering::Relaxed));
+    let median = samples[samples.len() / 2];
     println!(
-        "engine/pool_batch_overhead_64jobs          scoped {:>10}   persistent {:>10}",
-        fmt_time(scoped_ns / 1e9),
-        fmt_time(persistent_ns / 1e9),
+        "engine/pool_batch_overhead_64jobs          {:>12}",
+        fmt_time(median / 1e9)
     );
-    // The real gap is ~5-10x (thread spawn/join syscalls vs a channel
-    // send), so require persistent to undercut scoped by at least 1.5x —
-    // strictly below scoped as the acceptance criterion demands, with the
-    // jitter headroom taken out of the large real margin rather than
-    // granted on top of it.
-    assert!(
-        persistent_ns * 1.5 < scoped_ns,
-        "persistent-pool batch overhead ({persistent_ns:.0} ns) must undercut \
-         scoped-spawn overhead ({scoped_ns:.0} ns) by at least 1.5x"
-    );
-    (scoped_ns, persistent_ns)
+    median
 }
 
 /// Measures the per-evaluation key-build cost on the incremental path:
@@ -1073,7 +764,7 @@ fn capacity_sweep(threads: u32) -> serde_json::Value {
     let model = cocco::graph::models::resnet50();
     let (budget, population) = (1_500, 60);
     println!("\n== cache-capacity sweep: GA on resnet50, budget {budget} ==\n");
-    let (_, reference_cost, reference_best, _) = ga_run(
+    let reference = ga_run(
         &model,
         budget,
         population,
@@ -1083,13 +774,14 @@ fn capacity_sweep(threads: u32) -> serde_json::Value {
     let mut rows = Vec::new();
     for capacity in [usize::MAX, 16_384, 2_048, 256] {
         let config = EngineConfig::with_threads(threads).with_cache_capacity(capacity);
-        let (wall, cost, best, stats) = ga_run(&model, budget, population, config, None);
+        let run = ga_run(&model, budget, population, config, None);
+        let (wall, stats) = (run.wall, run.stats());
         assert_eq!(
-            cost, reference_cost,
+            run.cost, reference.cost,
             "capacity {capacity}: eviction changed the best cost"
         );
         assert_eq!(
-            best, reference_best,
+            run.best, reference.best,
             "capacity {capacity}: eviction changed the best genome"
         );
         let entries = stats.cache_entries + stats.subgraph_entries;
@@ -1128,162 +820,6 @@ fn capacity_sweep(threads: u32) -> serde_json::Value {
         ]));
     }
     println!("results              : bit-identical across every capacity ✓");
-    serde_json::Value::Array(rows)
-}
-
-/// The scale-out grid: the same seeded GA across {1, n} worker threads ×
-/// every contention-free layer ({prefilter, L0, adaptive} on/off, plus
-/// all-off), recording per cell the wall time, the number of jobs the
-/// pool actually dispatched, the chunk/inline scheduling counters and
-/// the worker-local L0 hit rate. Asserts bit-identical results (cost,
-/// genome, trace) across every cell, that the warm prefiltered arm
-/// dispatches **strictly fewer** pool jobs than it scores candidates,
-/// and that its L0 caches absorb probes (`l0_hits > 0`). Returns the
-/// JSON rows for the summary.
-fn scaleout_bench(smoke: bool, threads: u32, chunk: ChunkSize) -> serde_json::Value {
-    let model = cocco::graph::models::resnet50();
-    let (budget, population) = if smoke { (600, 50) } else { (1_500, 60) };
-    println!(
-        "\n== scale-out: GA on {} ({} nodes), budget {budget}, {{prefilter,l0,adaptive}} grid ==\n",
-        model.name(),
-        model.len()
-    );
-    type Shape = fn(EngineConfig) -> EngineConfig;
-    let arms: [(&str, Shape); 5] = [
-        ("all-on", |c| c),
-        ("no-prefilter", |c| c.without_prefilter()),
-        ("no-l0", |c| c.without_l0()),
-        ("no-adaptive", |c| c.with_parallel_threshold(0)),
-        ("all-off", |c| {
-            c.without_prefilter()
-                .without_l0()
-                .with_parallel_threshold(0)
-        }),
-    ];
-    let run_cell = |t: u32, shape: Shape| {
-        let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
-        let ctx = SearchContext::new(
-            &model,
-            &evaluator,
-            BufferSpace::paper_shared(),
-            Objective::paper_energy_capacity(),
-            budget,
-        )
-        .with_engine(shape(EngineConfig::with_threads(t).with_chunk(chunk)));
-        let ga = CoccoGa::default().with_population(population).with_seed(42);
-        let start = Stopwatch::start();
-        let outcome = ga.run(&ctx);
-        let wall = start.elapsed();
-        let metrics = ctx.engine().metrics();
-        let stats = ctx.engine().stats();
-        let trace = ctx.trace().points();
-        (
-            wall,
-            outcome.best_cost,
-            outcome.best,
-            trace,
-            metrics,
-            stats,
-            evaluator.stats_lock_waits(),
-        )
-    };
-    let mut reference: Option<(f64, Option<Genome>, Vec<TracePoint>)> = None;
-    let mut rows = Vec::new();
-    for t in [1u32, threads.max(2)] {
-        for (arm, shape) in arms {
-            let (wall, cost, best, trace, metrics, stats, lock_waits) = run_cell(t, shape);
-            let cell = format!("{arm}, {t} threads");
-            match &reference {
-                Some((ref_cost, ref_best, ref_trace)) => {
-                    assert_eq!(
-                        *ref_cost, cost,
-                        "scale-out determinism violated: cost ({cell})"
-                    );
-                    assert_eq!(
-                        *ref_best, best,
-                        "scale-out determinism violated: genome ({cell})"
-                    );
-                    assert_eq!(
-                        *ref_trace, trace,
-                        "scale-out determinism violated: trace ({cell})"
-                    );
-                }
-                None => reference = Some((cost, best, trace)),
-            }
-            let dispatched = metrics.counter("engine.pool.dispatched");
-            let l0_hits = metrics.counter("engine.cache.l0_hits");
-            let shared_hits = stats.cache_hits + stats.subgraph_hits;
-            let l0_hit_rate = if shared_hits == 0 {
-                0.0
-            } else {
-                l0_hits as f64 / shared_hits as f64
-            };
-            if arm == "all-on" {
-                // The whole point of the prefilter: warmed candidates are
-                // answered serially from the cache and never reach the
-                // pool, so the dispatched-job count must undercut the
-                // candidate count.
-                assert!(
-                    dispatched < stats.evals,
-                    "{cell}: prefiltered dispatch must send strictly fewer jobs \
-                     than candidates on a warm run ({dispatched} jobs vs {} candidates)",
-                    stats.evals,
-                );
-                assert!(
-                    l0_hits > 0,
-                    "{cell}: the worker-local L0 caches never absorbed a probe"
-                );
-            }
-            println!(
-                "{arm:<12} ({t} thr) : {:>10}  ({dispatched}/{} jobs dispatched, \
-                 {} chunks, {} inline, L0 {:.0}% of hits, {lock_waits} lock waits)",
-                fmt_time(wall.as_secs_f64()),
-                stats.evals,
-                metrics.counter("engine.pool.chunks"),
-                metrics.counter("engine.pool.inline_batches"),
-                l0_hit_rate * 100.0,
-            );
-            rows.push(serde_json::Value::Object(vec![
-                ("arm".to_string(), serde_json::to_value(&arm)),
-                ("threads".to_string(), serde_json::to_value(&u64::from(t))),
-                (
-                    "wall_ms".to_string(),
-                    serde_json::to_value(&(wall.as_secs_f64() * 1e3)),
-                ),
-                ("candidates".to_string(), serde_json::to_value(&stats.evals)),
-                (
-                    "dispatched_jobs".to_string(),
-                    serde_json::to_value(&dispatched),
-                ),
-                (
-                    "chunks".to_string(),
-                    serde_json::to_value(&metrics.counter("engine.pool.chunks")),
-                ),
-                (
-                    "inline_batches".to_string(),
-                    serde_json::to_value(&metrics.counter("engine.pool.inline_batches")),
-                ),
-                ("l0_hits".to_string(), serde_json::to_value(&l0_hits)),
-                (
-                    "l0_publishes".to_string(),
-                    serde_json::to_value(&metrics.counter("engine.cache.l0_publishes")),
-                ),
-                (
-                    "l0_hit_rate".to_string(),
-                    serde_json::to_value(&l0_hit_rate),
-                ),
-                (
-                    "stats_lock_waits".to_string(),
-                    serde_json::to_value(&lock_waits),
-                ),
-            ]));
-        }
-    }
-    println!(
-        "results              : bit-identical across {{1,{}}} threads × \
-         {{prefilter,l0,adaptive}} on/off ✓ (warm dispatch < candidates)",
-        threads.max(2)
-    );
     serde_json::Value::Array(rows)
 }
 
@@ -1569,11 +1105,10 @@ fn twostep_bench(smoke: bool, threads: u32) -> serde_json::Value {
 }
 
 /// Bounds what telemetry may cost on the engine's hottest leaf: a warmed
-/// `score_single` cache hit (tens of nanoseconds). Probes the same cached
-/// subgraph 20 000 times through a disabled handle and through a live
-/// sink — with the worker-local L0 cache answering the probe (the
-/// default) and with L0 off so the probe falls through to the shared
-/// shards. Every arm must stay under the same generous 5 µs/probe
+/// `score_single` cache hit (tens of nanoseconds), answered by the
+/// worker-local L0 cache. Probes the same cached subgraph 20 000 times
+/// through a disabled handle and through a live sink. Both arms must stay
+/// under the same generous 5 µs/probe
 /// ceiling, which catches a regression that puts a clock read, lock
 /// round-trip or allocation onto the cached path. The cached leaf must
 /// also stay silent: after every probe the live sink's event buffer is
@@ -1586,16 +1121,12 @@ fn telemetry_overhead_check() {
     const PROBES: u32 = 20_000;
     const CEILING_NS: f64 = 5_000.0;
     println!();
-    for (arm, telemetry, config) in [
-        ("disabled", Telemetry::disabled(), EngineConfig::serial()),
-        ("enabled", Telemetry::enabled(), EngineConfig::serial()),
-        (
-            "enabled-no-l0",
-            Telemetry::enabled(),
-            EngineConfig::serial().without_l0(),
-        ),
+    for (arm, telemetry) in [
+        ("disabled", Telemetry::disabled()),
+        ("enabled", Telemetry::enabled()),
     ] {
-        let engine = cocco::engine::Engine::with_telemetry(config, telemetry.clone());
+        let engine =
+            cocco::engine::Engine::with_telemetry(EngineConfig::serial(), telemetry.clone());
         // Warm the subgraph-term cache so every timed probe is a hit.
         engine.score_single(&evaluator, &members, &buffer, EvalOptions::default());
         let start = Stopwatch::start();
@@ -1618,21 +1149,13 @@ fn telemetry_overhead_check() {
             telemetry.events().is_empty(),
             "telemetry ({arm}): the cached score_single leaf must emit no events"
         );
-        // Prove the timed probes exercised the path the arm claims: with
-        // L0 on, every post-warm probe is an L0 hit; with it off, none is.
-        let l0_hits = engine.metrics().counter("engine.cache.l0_hits");
-        if config.l0 {
-            assert_eq!(
-                l0_hits,
-                u64::from(PROBES),
-                "telemetry ({arm}): warmed probes must all be L0 hits"
-            );
-        } else {
-            assert_eq!(
-                l0_hits, 0,
-                "telemetry ({arm}): the L0-off arm must never touch an L0 cache"
-            );
-        }
+        // Prove the timed probes exercised the cached leaf: every
+        // post-warm probe is an L0 hit.
+        assert_eq!(
+            engine.metrics().counter("engine.cache.l0_hits"),
+            u64::from(PROBES),
+            "telemetry ({arm}): warmed probes must all be L0 hits"
+        );
         println!(
             "telemetry/cached_leaf_{arm:<13}         {:>12} per probe (< {} ceiling)",
             fmt_time(per_probe_ns / 1e9),
@@ -1693,39 +1216,9 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let mut smoke = false;
     let mut threads: u32 = 4;
-    let mut pool = PoolMode::Persistent;
-    let mut arena = true;
-    let mut chunk = ChunkSize::Auto;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--chunk" => {
-                let value = args.next().unwrap_or_else(|| {
-                    eprintln!("--chunk needs a value (<n> | auto)");
-                    std::process::exit(2);
-                });
-                chunk = match value.as_str() {
-                    "auto" => ChunkSize::Auto,
-                    n => ChunkSize::Fixed(n.parse().unwrap_or_else(|e| {
-                        eprintln!("bad --chunk `{n}`: {e} (<n> | auto)");
-                        std::process::exit(2);
-                    })),
-                };
-            }
-            "--arena" => {
-                let value = args.next().unwrap_or_else(|| {
-                    eprintln!("--arena needs a value (on | off)");
-                    std::process::exit(2);
-                });
-                arena = match value.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    bad => {
-                        eprintln!("bad --arena `{bad}` (on | off)");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--threads" => {
                 let value = args.next().unwrap_or_else(|| {
                     eprintln!("--threads needs a value");
@@ -1736,26 +1229,8 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--pool" => {
-                let value = args.next().unwrap_or_else(|| {
-                    eprintln!("--pool needs a value (scoped | persistent)");
-                    std::process::exit(2);
-                });
-                pool = match value.as_str() {
-                    "scoped" => PoolMode::Scoped,
-                    "persistent" => PoolMode::Persistent,
-                    bad => {
-                        eprintln!("bad --pool `{bad}` (scoped | persistent)");
-                        std::process::exit(2);
-                    }
-                };
-            }
             bad => {
-                eprintln!(
-                    "unknown argument `{bad}` \
-                     (supported: --smoke, --threads <n>, --pool scoped|persistent, \
-                      --arena on|off, --chunk <n>|auto)"
-                );
+                eprintln!("unknown argument `{bad}` (supported: --smoke, --threads <n>)");
                 std::process::exit(2);
             }
         }
@@ -1763,17 +1238,14 @@ fn main() {
     let threads = threads.max(1);
 
     if smoke {
-        // CI smoke: exercise the incremental delta path, both pool
-        // lifecycles, the zero-key-allocation invariant, the determinism
-        // invariant, the fault-injection matrix, stepped-vs-monolithic
-        // parity (driver + JSON-resume) and the interleaved-vs-sequential
-        // two-step arm at the requested worker count; skip the slow
-        // timing loops.
-        engine_bench(true, threads, pool, arena, chunk);
-        arena_bench(true, threads);
-        scaleout_bench(true, threads, chunk);
+        // CI smoke: exercise the incremental delta path, the zero-key-
+        // allocation invariant, the determinism invariant, the
+        // fault-injection matrix, stepped-vs-monolithic parity (driver +
+        // JSON-resume) and the interleaved-vs-sequential two-step arm at
+        // the requested worker count; skip the slow timing loops.
+        engine_bench(true, threads);
         println!();
-        arena_matrix_check();
+        thread_matrix_check();
         fault_matrix_check(threads);
         stepped_parity_check(threads);
         twostep_bench(true, threads);
@@ -1787,29 +1259,22 @@ fn main() {
     println!();
     stepped_parity_check(threads);
     let key_build_ns = key_build_bench();
-    let (scoped_overhead_ns, persistent_overhead_ns) = pool_overhead_bench(threads);
-    let mut doc = match engine_bench(false, threads, pool, arena, chunk) {
+    let pool_overhead_ns = pool_overhead_bench(threads);
+    let cached_batch = cached_batch_bench();
+    let mut doc = match engine_bench(false, threads) {
         serde_json::Value::Object(fields) => fields,
         _ => unreachable!("engine_bench returns an object"),
     };
-    doc.push(("arena".to_string(), arena_bench(false, threads)));
-    doc.push((
-        "scaleout".to_string(),
-        scaleout_bench(false, threads, chunk),
-    ));
     doc.push(("twostep".to_string(), twostep_bench(false, threads)));
     doc.push((
         "key_build_ns".to_string(),
         serde_json::to_value(&key_build_ns),
     ));
     doc.push((
-        "pool_batch_overhead_scoped_ns".to_string(),
-        serde_json::to_value(&scoped_overhead_ns),
+        "pool_batch_overhead_ns".to_string(),
+        serde_json::to_value(&pool_overhead_ns),
     ));
-    doc.push((
-        "pool_batch_overhead_persistent_ns".to_string(),
-        serde_json::to_value(&persistent_overhead_ns),
-    ));
+    doc.push(("cached_batch_latency".to_string(), cached_batch));
     doc.push(("capacity_sweep".to_string(), capacity_sweep(threads)));
     doc.push(("phases".to_string(), phase_profile_bench(threads)));
     telemetry_overhead_check();

@@ -71,12 +71,6 @@ fn usage() -> String {
            --batch <n>        batch size (default 1)\n\
            --threads <n>      evaluation worker threads, or `auto` (default auto);\n\
                               results are identical at any thread count\n\
-           --pool <mode>      worker-pool lifecycle: persistent (default) keeps\n\
-                              threads alive across batches, scoped re-spawns per\n\
-                              batch; results are identical either way\n\
-           --chunk <n|auto>   jobs handed to a worker per pool dispatch (default\n\
-                              auto: batch size / (threads * 4)); results are\n\
-                              identical at any chunk size\n\
            --cache-capacity <n>  bound the evaluation cache to <n> entries\n\
                               (generation-sweep eviction; results unchanged)\n\
            --cache-file <p>   persist the evaluation cache at <p>: repeated\n\
@@ -136,8 +130,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
     };
     let mut cores: u32 = 1;
     let mut batch: u32 = 1;
-    let mut pool: Option<PoolMode> = None;
-    let mut chunk: Option<ChunkSize> = None;
     let mut cache_capacity: Option<usize> = None;
     let mut portfolio: Option<Vec<SearchMethod>> = None;
     let mut target: Option<f64> = None;
@@ -218,25 +210,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
                     other => return Err(format!("unknown metric `{other}`")),
                 };
             }
-            "--pool" => {
-                pool = Some(match next_value(&mut argv, "--pool")?.as_str() {
-                    "persistent" => PoolMode::Persistent,
-                    "scoped" => PoolMode::Scoped,
-                    other => return Err(format!("unknown pool mode `{other}`")),
-                });
-            }
-            "--chunk" => {
-                chunk = Some(match next_value(&mut argv, "--chunk")?.as_str() {
-                    "auto" => ChunkSize::Auto,
-                    n => {
-                        let n: u32 = parse_num(n)?;
-                        if n == 0 {
-                            return Err("--chunk must be >= 1 (or `auto`)".to_string());
-                        }
-                        ChunkSize::Fixed(n)
-                    }
-                });
-            }
             "--cache-capacity" => {
                 cache_capacity = Some(parse_num(&next_value(&mut argv, "--cache-capacity")?)?);
             }
@@ -265,12 +238,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
     }
     args.options =
         EvalOptions::new(cores, batch).map_err(|e| format!("bad --cores/--batch: {e}"))?;
-    if let Some(mode) = pool {
-        args.threads = args.threads.with_pool(mode);
-    }
-    if let Some(size) = chunk {
-        args.threads = args.threads.with_chunk(size);
-    }
     if let Some(capacity) = cache_capacity {
         args.threads = args.threads.with_cache_capacity(capacity);
     }

@@ -18,7 +18,7 @@
 //!     let c1 = b.conv("c1", input, 8, Kernel::pointwise())?; // GraphError -> Error
 //!     b.conv("c2", c1, 8, Kernel::pointwise())?;
 //!     let model = b.finish()?;
-//!     Cocco::new().with_budget(200).explore(&model) // CoccoError is Error
+//!     Cocco::new().with_budget(200).explore(&model)
 //! }
 //! # build_and_explore().unwrap();
 //! ```
@@ -224,10 +224,6 @@ impl From<serde::Error> for Error {
         Error::Serde(e)
     }
 }
-
-/// The pre-unification name of [`Error`], kept so existing code and docs
-/// keep compiling; new code should spell it `cocco::Error`.
-pub type CoccoError = Error;
 
 #[cfg(test)]
 mod tests {

@@ -529,17 +529,22 @@ impl Cocco {
         let mut steps = 0u64;
         // Snapshot serialization can be expensive for state-heavy drivers
         // (the enumeration's downset tables), and analytic methods step
-        // very fast — so the step cadence is additionally floored by a
-        // wall-clock interval, bounding checkpoint overhead to a small
-        // fraction of the run regardless of step granularity.
+        // very fast — so after the first save the step cadence is
+        // additionally floored by a wall-clock interval, bounding
+        // checkpoint overhead to a small fraction of the run regardless
+        // of step granularity. The first due step always saves, so a run
+        // that aborts early still leaves a snapshot to resume from,
+        // however fast its steps are.
         const MIN_SAVE_INTERVAL: std::time::Duration = std::time::Duration::from_millis(100);
         // The throttle gates how often snapshots hit disk, never what the
         // search does; `Stopwatch` is the sanctioned timing authority.
-        let mut last_save = Stopwatch::start();
+        let mut last_save: Option<Stopwatch> = None;
         while drive_step(&mut *driver, ctx) {
             steps += 1;
             if steps.is_multiple_of(self.checkpoint_every)
-                && last_save.elapsed() >= MIN_SAVE_INTERVAL
+                && last_save
+                    .as_ref()
+                    .is_none_or(|sw| sw.elapsed() >= MIN_SAVE_INTERVAL)
             {
                 let serialize_phase = self.telemetry.phase(Phase::Serialize);
                 let snapshot = SearchSnapshot::capture(method, &*driver, ctx);
@@ -547,7 +552,7 @@ impl Cocco {
                     *save_error = Some(format!("{}: {e}", path.display()));
                 }
                 drop(serialize_phase);
-                last_save = Stopwatch::start();
+                last_save = Some(Stopwatch::start());
             }
         }
         if ctx.fault_abort().is_some() {
@@ -587,7 +592,6 @@ impl Default for Cocco {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::CoccoError;
     use cocco_sim::BufferConfig;
 
     #[test]
@@ -613,7 +617,7 @@ mod tests {
             .with_budget(50)
             .explore(&model)
             .unwrap_err();
-        assert_eq!(err, CoccoError::NoFeasibleSolution);
+        assert_eq!(err, Error::NoFeasibleSolution);
     }
 
     #[test]

@@ -68,5 +68,5 @@ mod error;
 mod framework;
 pub mod prelude;
 
-pub use error::{CoccoError, Error, SalvagedBest};
+pub use error::{Error, SalvagedBest};
 pub use framework::{Cocco, Exploration};

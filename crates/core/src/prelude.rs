@@ -10,11 +10,11 @@
 //! assert_eq!(evaluator.config().peak_macs_per_cycle(), 1024);
 //! ```
 
-pub use crate::error::{CoccoError, Error, SalvagedBest};
+pub use crate::error::{Error, SalvagedBest};
 pub use crate::framework::{Cocco, Exploration};
 pub use cocco_engine::{
-    CacheSnapshot, ChunkSize, Engine, EngineConfig, EngineStats, EvalMemo, PoolMode, SampleBudget,
-    SampleReservation, ScoredEval, SubgraphScore, ThreadCount,
+    CacheSnapshot, Engine, EngineConfig, EngineStats, EvalMemo, SampleBudget, SampleReservation,
+    ScoredEval, SubgraphScore, ThreadCount,
 };
 pub use cocco_faults::{FaultPlan, FaultRates, FaultSchedule, FaultSite, HealthReport};
 pub use cocco_graph::{

@@ -4,11 +4,10 @@
 //! Every public scoring entry point claims one [`EvalArena`] slot from the
 //! engine's [`ScratchPool`] for the duration of the call. A slot bundles
 //! the flat [`LayoutArena`] a candidate partition is materialized into,
-//! the struct-of-arrays [`SubgraphColumns`] the batch scorer writes, and
-//! the fixed-size composition vectors of the incremental path — all
-//! cleared (capacity kept) between uses and grown monotonically, so the
-//! steady state touches the allocator only for values that escape into
-//! long-lived structures (memo entries, fingerprints, cache inserts).
+//! the worker-local L0 cache, and the fixed-size composition vectors —
+//! all cleared (capacity kept) between uses and grown monotonically, so
+//! the steady state touches the allocator only for values that escape
+//! into long-lived structures (memo entries, fingerprints, cache inserts).
 //!
 //! Slots never affect results: scratch contents are fully overwritten
 //! before each read, and which slot a call claims is invisible to the
@@ -21,7 +20,7 @@ use crate::cache::EvalKey;
 use crate::engine::{EvalMemo, MemoEntry, ScoredEval, SubgraphScore};
 use cocco_graph::BuildFpHasher;
 use cocco_partition::LayoutArena;
-use cocco_sim::{SubgraphColumns, SubgraphStats};
+use cocco_sim::SubgraphStats;
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::{Arc, Mutex};
@@ -138,7 +137,7 @@ impl L0Cache {
 }
 
 /// The composition scratch of one scoring call: per-position memo copies,
-/// statistics, weight footprints, and the batch scorer's output columns.
+/// statistics and weight footprints.
 #[derive(Debug, Default)]
 pub(crate) struct ComposeScratch {
     /// Memoized entry per clean position (`MemoEntry` is `Copy`, so the
@@ -149,8 +148,6 @@ pub(crate) struct ComposeScratch {
     pub stats_of: Vec<Option<SubgraphStats>>,
     /// Weight footprint per position (drives the `next_wgt` chain).
     pub wgts: Vec<u64>,
-    /// Struct-of-arrays output of the non-incremental batch scorer.
-    pub columns: SubgraphColumns,
 }
 
 impl ComposeScratch {
@@ -159,7 +156,6 @@ impl ComposeScratch {
         (self.entries.capacity() * size_of::<Option<MemoEntry>>()
             + self.stats_of.capacity() * size_of::<Option<SubgraphStats>>()
             + self.wgts.capacity() * size_of::<u64>()) as u64
-            + self.columns.bytes() as u64
     }
 }
 
@@ -171,7 +167,7 @@ pub struct EvalArena {
     pub(crate) layout: LayoutArena,
     /// Per-subgraph dirty flags projected from a `PartitionDelta`.
     pub(crate) dirty: Vec<bool>,
-    /// Composition scratch of the incremental and batch paths.
+    /// Composition scratch.
     pub(crate) compose: ComposeScratch,
     /// Worker-local L0 cache probed lock-free before the shared shards.
     pub(crate) l0: L0Cache,

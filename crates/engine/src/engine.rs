@@ -22,16 +22,13 @@ use crate::cache::{EvalCache, EvalKey};
 use crate::config::EngineConfig;
 use crate::pool::EnginePool;
 use cocco_graph::{BuildFpHasher, NodeId, NodeSetFp};
-use cocco_partition::{
-    Partition, PartitionDelta, PartitionFingerprints, PartitionLayout, SubgraphsView,
-};
-use cocco_sim::{BufferConfig, CostMetric, EvalOptions, Evaluator, SubgraphColumns, SubgraphStats};
+use cocco_partition::{Partition, PartitionDelta, PartitionFingerprints, SubgraphsView};
+use cocco_sim::{BufferConfig, CostMetric, EvalOptions, Evaluator, SubgraphStats};
 use cocco_telemetry::{Histogram, MetricsSnapshot, Stopwatch, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One memoized partition evaluation: everything needed to reproduce the
 /// objective cost under *any* objective (metric × Formula 1/2), so one
@@ -118,35 +115,8 @@ enum Publish {
     /// Stage in the claimed slot's L0 queue, tagged with the funding-order
     /// sequence number of the job that computed it; the engine publishes
     /// all staged entries in ascending sequence order at the batch-end
-    /// quiescent point of [`Engine::dispatch`]. Degrades to `Immediate`
-    /// when the L0 layer is disabled ([`EngineConfig::l0`]).
+    /// quiescent point of [`Engine::dispatch`].
     Deferred(u64),
-}
-
-/// The outcome of [`Engine::prepare_partition`] — the serial prefilter
-/// half of the two-phase batch scoring protocol.
-#[derive(Debug)]
-pub enum PartitionProbe {
-    /// The roll-up was already cached (L0 or shared): the score never has
-    /// to pay pool dispatch.
-    Hit(ScoredEval, Option<Arc<EvalMemo>>),
-    /// A genuine miss; hand the carried state to
-    /// [`Engine::score_prepared`] (typically from a pool worker).
-    Miss(PreparedEval),
-}
-
-/// Key material carried from a [`Engine::prepare_partition`] miss to the
-/// [`Engine::score_prepared`] call that computes it: the cache key and
-/// fingerprints are derived exactly once, and the shared-cache miss was
-/// counted exactly once (`score_prepared` recomputes without re-probing).
-#[derive(Debug)]
-pub struct PreparedEval {
-    key: EvalKey,
-    fps: PartitionFingerprints,
-    /// Per-position dirty flags of a usable incremental hint (`None` when
-    /// the hint was absent or unusable — `score_prepared` then composes
-    /// from the caches without memo reuse).
-    dirty: Option<Vec<bool>>,
 }
 
 /// Renders a panic payload as text (the same downcasts the std hook uses).
@@ -182,68 +152,6 @@ pub(crate) struct MemoEntry {
     wgt_bytes: u64,
     next_wgt: u64,
     score: SubgraphScore,
-}
-
-/// A [`SubgraphsView`] the engine can also evaluate whole on the
-/// non-incremental path: the nested reference representation goes through
-/// `Evaluator::eval_partition`, the flat layout through the
-/// struct-of-arrays batch scorer — the two produce bit-identical totals
-/// (the batch scorer runs the identical pipeline; see `cocco-sim`).
-trait ViewEval: SubgraphsView {
-    /// Evaluates the whole partition, returning
-    /// `(ema_bytes, energy_pj, fits)` or `Err(())` on structurally
-    /// invalid input.
-    fn eval_full(
-        &self,
-        evaluator: &Evaluator<'_>,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        columns: &mut SubgraphColumns,
-    ) -> Result<(u64, f64, bool), ()>;
-}
-
-impl ViewEval for [Vec<NodeId>] {
-    fn eval_full(
-        &self,
-        evaluator: &Evaluator<'_>,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        _columns: &mut SubgraphColumns,
-    ) -> Result<(u64, f64, bool), ()> {
-        match evaluator.eval_partition(self, buffer, options) {
-            Ok(report) => Ok((report.ema_bytes, report.energy_pj, report.fits)),
-            Err(_) => Err(()),
-        }
-    }
-}
-
-impl ViewEval for PartitionLayout<'_> {
-    fn eval_full(
-        &self,
-        evaluator: &Evaluator<'_>,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        columns: &mut SubgraphColumns,
-    ) -> Result<(u64, f64, bool), ()> {
-        if evaluator
-            .eval_subgraph_batch(self.members(), self.offsets(), buffer, options, columns)
-            .is_err()
-        {
-            return Err(());
-        }
-        // The same in-order fold `PartitionReport::from_parts` performs,
-        // as tight loops over the contiguous columns.
-        let mut ema_bytes: u64 = 0;
-        for &bytes in &columns.ema_bytes {
-            ema_bytes += bytes;
-        }
-        let mut energy_pj: f64 = 0.0;
-        for &pj in &columns.energy_pj {
-            energy_pj += pj;
-        }
-        let fits = columns.fits.iter().all(|&fit| fit);
-        Ok((ema_bytes, energy_pj, fits))
-    }
 }
 
 /// The per-subgraph breakdown of one scored partition, kept by searchers
@@ -360,9 +268,7 @@ pub struct EngineStats {
     pub cache_entries: u64,
     /// Partition roll-up entries evicted by generation sweeps.
     pub cache_evictions: u64,
-    /// Full per-subgraph scorings: `eval_subgraph` terms computed fresh
-    /// (on the non-incremental path, every subgraph of every computed
-    /// partition counts here).
+    /// Full per-subgraph scorings: `eval_subgraph` terms computed fresh.
     pub subgraph_scorings: u64,
     /// Subgraph terms answered from the subgraph-level cache.
     pub subgraph_hits: u64,
@@ -480,8 +386,6 @@ pub struct Engine {
     wall_nanos: AtomicU64,
     /// Memo reuses on the delta path.
     reused: AtomicU64,
-    /// Terms computed inside whole-partition (non-incremental) evaluations.
-    bulk_scorings: AtomicU64,
     /// High-water mark of any evaluator's canonicalize-fallback count
     /// observed by this engine (see
     /// `Evaluator::stats_canonicalize_fallbacks`); 0 in production,
@@ -495,16 +399,14 @@ pub struct Engine {
     /// (`engine.cache.l0_publishes`).
     l0_publishes: AtomicU64,
     /// Jobs handed to [`dispatch`](Self::dispatch)
-    /// (`engine.pool.dispatched`) — on the prefiltered batch path this
-    /// counts post-prefilter misses only, so a warmed run shows strictly
-    /// fewer dispatched jobs than scored candidates.
+    /// (`engine.pool.dispatched`).
     dispatched: AtomicU64,
-    /// Chunked pool hand-offs (`engine.pool.chunks`): index claims the
-    /// workers performed instead of one per job.
+    /// Dispatch units (`engine.pool.chunks`): the index claims a batch was
+    /// split into, each covering
+    /// [`EngineConfig::resolved_chunk`] consecutive jobs.
     chunks: AtomicU64,
-    /// Batches the adaptive scheduler ran inline on the caller because
-    /// the post-prefilter job count fell under
-    /// [`EngineConfig::parallel_threshold`]
+    /// Batches the pool ran on the caller's thread — a batch of one
+    /// dispatch unit, or any batch of a one-worker engine
     /// (`engine.pool.inline_batches`).
     inline_batches: AtomicU64,
     /// Observation sink shared with the pool and cache; disabled by
@@ -566,7 +468,6 @@ impl Engine {
             scratch: ScratchPool::new(config.resolved_threads() + 1),
             wall_nanos: AtomicU64::new(0),
             reused: AtomicU64::new(0),
-            bulk_scorings: AtomicU64::new(0),
             stats_fallbacks: AtomicU64::new(0),
             l0_hits: AtomicU64::new(0),
             l0_publishes: AtomicU64::new(0),
@@ -621,8 +522,8 @@ impl Engine {
     /// Like [`score`](Self::score), but also returns the per-subgraph
     /// [`EvalMemo`]. Roll-up cache hits hand back the memo stored with the
     /// entry, so even a genome whose score came straight from the cache
-    /// seeds its offspring's incremental hints (`None` only on the
-    /// non-incremental path or for entries restored from a snapshot).
+    /// seeds its offspring's incremental hints (`None` only for entries
+    /// restored from a snapshot or evaluator errors).
     pub fn score_composed(
         &self,
         evaluator: &Evaluator<'_>,
@@ -669,8 +570,7 @@ impl Engine {
         memo: &EvalMemo,
         dirty: &[bool],
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let reuse = (self.config.incremental
-            && dirty.len() == subgraphs.len()
+        let reuse = (dirty.len() == subgraphs.len()
             && memo.matches(evaluator.fingerprint(), buffer, options))
         .then_some((memo, dirty));
         self.scratch.with_slot(|arena| {
@@ -688,18 +588,18 @@ impl Engine {
     }
 
     /// Scores a [`Partition`] directly, materializing its member lists
-    /// into this call's scratch slot — on the default arena arm
-    /// ([`EngineConfig::arena`]) as a flat [`PartitionLayout`] built
-    /// without per-candidate allocations; on the reference arm
-    /// (`EngineConfig::without_arena`) as a freshly allocated
-    /// `Vec<Vec<NodeId>>`. Results are bit-identical across arms: both
-    /// views feed the identical fingerprinting, cache probing and
-    /// composition fold through [`SubgraphsView`].
+    /// into this call's scratch slot as a flat
+    /// [`PartitionLayout`](cocco_partition::PartitionLayout) built without
+    /// per-candidate allocations. The layout feeds the same
+    /// fingerprinting, cache probing and composition fold as the nested
+    /// `&[Vec<NodeId>]` entry points through [`SubgraphsView`], so
+    /// `score_partition(p)` is bit-identical to
+    /// `score_composed(&p.subgraphs())`.
     ///
     /// `hint` carries the parent's memo plus the [`PartitionDelta`]
-    /// recorded by mutation/repair; when it is usable (incremental
-    /// engine, delta not all-dirty, matching memo coordinates and node
-    /// count) the call takes the delta path — clean subgraphs reuse their
+    /// recorded by mutation/repair; when it is usable (delta not
+    /// all-dirty, matching memo coordinates and node count) the call takes
+    /// the delta path — clean subgraphs reuse their
     /// memoized terms — otherwise it composes from the caches like
     /// [`score_composed`](Self::score_composed).
     pub fn score_partition(
@@ -728,8 +628,7 @@ impl Engine {
     /// of the enclosing [`dispatch`](Self::dispatch), so the shared
     /// cache's insertion history is independent of thread count, chunking
     /// and slot assignment. Call this only from jobs running under
-    /// `dispatch`/[`try_dispatch`](Self::try_dispatch); with the L0 layer
-    /// disabled it behaves exactly like `score_partition`.
+    /// `dispatch`/[`try_dispatch`](Self::try_dispatch).
     pub fn score_partition_deferred(
         &self,
         seq: u64,
@@ -766,182 +665,21 @@ impl Engine {
                 l0,
             } = arena;
             let usable = hint.filter(|(memo, delta)| {
-                self.config.incremental
-                    && !delta.is_all()
+                !delta.is_all()
                     && delta.len() == partition.len()
                     && memo.matches(evaluator.fingerprint(), buffer, options)
             });
-            if self.config.arena {
-                let view = layout.build_from_partition(partition);
-                let reuse = match usable {
-                    Some((memo, delta)) => {
-                        Self::project_dirty(&view, delta, dirty);
-                        Some((memo, dirty.as_slice()))
-                    }
-                    None => None,
-                };
-                self.score_inner(
-                    evaluator, &view, buffer, options, reuse, compose, l0, publish,
-                )
-            } else {
-                let subgraphs = partition.subgraphs();
-                let reuse = match usable {
-                    Some((memo, delta)) => {
-                        Self::project_dirty(subgraphs.as_slice(), delta, dirty);
-                        Some((memo, dirty.as_slice()))
-                    }
-                    None => None,
-                };
-                self.score_inner(
-                    evaluator,
-                    subgraphs.as_slice(),
-                    buffer,
-                    options,
-                    reuse,
-                    compose,
-                    l0,
-                    publish,
-                )
-            }
-        })
-    }
-
-    /// The serial prefilter half of two-phase batch scoring: derives the
-    /// partition's fingerprints and cache key (through the claimed slot's
-    /// scratch, exactly as [`score_partition`](Self::score_partition)
-    /// would) and probes the L0 and shared caches. A
-    /// [`PartitionProbe::Hit`] is the finished score — the candidate
-    /// never has to be dispatched at all. A [`PartitionProbe::Miss`]
-    /// carries the derived key material to
-    /// [`score_prepared`](Self::score_prepared), which computes without
-    /// re-probing (the miss was counted here, once).
-    ///
-    /// `hint` follows the same usability rules as `score_partition`; a
-    /// usable hint's per-position dirty flags travel inside the returned
-    /// [`PreparedEval`].
-    pub fn prepare_partition(
-        &self,
-        evaluator: &Evaluator<'_>,
-        partition: &Partition,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        hint: Option<(&EvalMemo, &PartitionDelta)>,
-    ) -> PartitionProbe {
-        self.scratch.with_slot(|arena| {
-            let EvalArena {
-                layout, dirty, l0, ..
-            } = arena;
-            let usable = hint.filter(|(memo, delta)| {
-                self.config.incremental
-                    && !delta.is_all()
-                    && delta.len() == partition.len()
-                    && memo.matches(evaluator.fingerprint(), buffer, options)
-            });
-            let (fps, carried) = if self.config.arena {
-                let view = layout.build_from_partition(partition);
-                match usable {
-                    Some((memo, delta)) => {
-                        Self::project_dirty(&view, delta, dirty);
-                        (
-                            memo.fps.refresh_positions(&view, dirty),
-                            Some(dirty.clone()),
-                        )
-                    }
-                    None => (PartitionFingerprints::from_subgraphs(&view), None),
+            let view = layout.build_from_partition(partition);
+            let reuse = match usable {
+                Some((memo, delta)) => {
+                    Self::project_dirty(&view, delta, dirty);
+                    Some((memo, dirty.as_slice()))
                 }
-            } else {
-                let subgraphs = partition.subgraphs();
-                match usable {
-                    Some((memo, delta)) => {
-                        Self::project_dirty(subgraphs.as_slice(), delta, dirty);
-                        (
-                            memo.fps.refresh_positions(subgraphs.as_slice(), dirty),
-                            Some(dirty.clone()),
-                        )
-                    }
-                    None => (
-                        PartitionFingerprints::from_subgraphs(subgraphs.as_slice()),
-                        None,
-                    ),
-                }
+                None => None,
             };
-            let key = EvalKey::partition(
-                evaluator.fingerprint(),
-                fps.positions().iter().copied(),
-                buffer,
-                options,
-            );
-            if let Some((cached, memo)) = self.probe_partition(l0, &key) {
-                self.note_stats_fallbacks(evaluator);
-                return PartitionProbe::Hit(cached, memo);
-            }
-            PartitionProbe::Miss(PreparedEval {
-                key,
-                fps,
-                dirty: carried,
-            })
-        })
-    }
-
-    /// The compute half of two-phase batch scoring: finishes a
-    /// [`PartitionProbe::Miss`] from
-    /// [`prepare_partition`](Self::prepare_partition), reusing its key
-    /// and fingerprints and staging the result under `seq` for the
-    /// batch-end funding-order drain (see
-    /// [`score_partition_deferred`](Self::score_partition_deferred)).
-    ///
-    /// `partition` and `hint` must be the values the probe was prepared
-    /// from (`hint` may only have been dropped, not substituted); the
-    /// layout is rebuilt into this call's slot — worker-local, so the
-    /// prefilter thread's scratch is never shared across the dispatch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn score_prepared(
-        &self,
-        seq: u64,
-        evaluator: &Evaluator<'_>,
-        partition: &Partition,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        hint: Option<&EvalMemo>,
-        prepared: PreparedEval,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let PreparedEval { key, fps, dirty } = prepared;
-        let publish = Publish::Deferred(seq);
-        self.scratch.with_slot(|arena| {
-            let EvalArena {
-                layout,
-                compose,
-                l0,
-                ..
-            } = arena;
-            if self.config.arena {
-                let view = layout.build_from_partition(partition);
-                let reuse = match (&dirty, hint) {
-                    (Some(flags), Some(memo)) => Some((memo, flags.as_slice())),
-                    _ => None,
-                };
-                self.score_missed(
-                    evaluator, &view, buffer, options, reuse, compose, l0, key, fps, publish,
-                )
-            } else {
-                let subgraphs = partition.subgraphs();
-                let reuse = match (&dirty, hint) {
-                    (Some(flags), Some(memo)) => Some((memo, flags.as_slice())),
-                    _ => None,
-                };
-                self.score_missed(
-                    evaluator,
-                    subgraphs.as_slice(),
-                    buffer,
-                    options,
-                    reuse,
-                    compose,
-                    l0,
-                    key,
-                    fps,
-                    publish,
-                )
-            }
+            self.score_inner(
+                evaluator, &view, buffer, options, reuse, compose, l0, publish,
+            )
         })
     }
 
@@ -1010,17 +748,13 @@ impl Engine {
         l0: &mut L0Cache,
         key: &EvalKey,
     ) -> Option<(ScoredEval, Option<Arc<EvalMemo>>)> {
-        if self.config.l0 {
-            if let Some((cached, memo)) = l0.get_partition(key) {
-                self.cache.record_l0_partition_hit();
-                self.l0_hits.fetch_add(1, Ordering::Relaxed);
-                return Some((cached, memo));
-            }
+        if let Some((cached, memo)) = l0.get_partition(key) {
+            self.cache.record_l0_partition_hit();
+            self.l0_hits.fetch_add(1, Ordering::Relaxed);
+            return Some((cached, memo));
         }
         let (cached, memo) = self.cache.get_memoized(key)?;
-        if self.config.l0 {
-            l0.put_partition(*key, cached, memo.clone());
-        }
+        l0.put_partition(*key, cached, memo.clone());
         Some((cached, memo))
     }
 
@@ -1028,23 +762,19 @@ impl Engine {
     /// read-through; same accounting as
     /// [`probe_partition`](Self::probe_partition)).
     fn probe_subgraph(&self, l0: &mut L0Cache, key: &EvalKey) -> Option<SubgraphScore> {
-        if self.config.l0 {
-            if let Some(term) = l0.get_subgraph(key) {
-                self.cache.record_l0_subgraph_hit();
-                self.l0_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(term);
-            }
+        if let Some(term) = l0.get_subgraph(key) {
+            self.cache.record_l0_subgraph_hit();
+            self.l0_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(term);
         }
         let term = self.cache.get_subgraph(key)?;
-        if self.config.l0 {
-            l0.put_subgraph(*key, term);
-        }
+        l0.put_subgraph(*key, term);
         Some(term)
     }
 
-    /// Publishes a freshly computed roll-up per `publish` policy
-    /// (deferred staging requires the L0 layer; otherwise the entry goes
-    /// to the shared cache immediately, plus the L0 as read-through).
+    /// Publishes a freshly computed roll-up per `publish` policy: staged
+    /// for the batch-end drain, or inserted into the shared cache right
+    /// away (plus the L0 as read-through).
     fn publish_partition(
         &self,
         l0: &mut L0Cache,
@@ -1054,14 +784,12 @@ impl Engine {
         memo: Option<Arc<EvalMemo>>,
     ) {
         match publish {
-            Publish::Deferred(seq) if self.config.l0 => {
+            Publish::Deferred(seq) => {
                 self.l0_publishes.fetch_add(1, Ordering::Relaxed);
                 l0.stage_partition(seq, key, scored, memo);
             }
-            _ => {
-                if self.config.l0 {
-                    l0.put_partition(key, scored, memo.clone());
-                }
+            Publish::Immediate => {
+                l0.put_partition(key, scored, memo.clone());
                 self.cache.insert_memoized(key, scored, memo);
             }
         }
@@ -1076,21 +804,22 @@ impl Engine {
         term: SubgraphScore,
     ) {
         match publish {
-            Publish::Deferred(seq) if self.config.l0 => {
+            Publish::Deferred(seq) => {
                 self.l0_publishes.fetch_add(1, Ordering::Relaxed);
                 l0.stage_subgraph(seq, key, term);
             }
-            _ => {
-                if self.config.l0 {
-                    l0.put_subgraph(key, term);
-                }
+            Publish::Immediate => {
+                l0.put_subgraph(key, term);
                 self.cache.insert_subgraph(key, term);
             }
         }
     }
 
+    /// Derives the partition key, probes the cache hierarchy and, on a
+    /// miss, composes the score from per-subgraph terms and publishes it
+    /// per `publish`.
     #[allow(clippy::too_many_arguments)]
-    fn score_inner<S: ViewEval + ?Sized>(
+    fn score_inner<S: SubgraphsView + ?Sized>(
         &self,
         evaluator: &Evaluator<'_>,
         subgraphs: &S,
@@ -1120,52 +849,9 @@ impl Engine {
             self.note_stats_fallbacks(evaluator);
             return (cached, memo);
         }
-        self.score_missed(
-            evaluator, subgraphs, buffer, options, reuse, scratch, l0, key, fps, publish,
-        )
-    }
-
-    /// The compute tail of a partition-cache miss: compose (incremental)
-    /// or bulk-evaluate, then publish under `key`. Shared by
-    /// [`score_inner`](Self::score_inner) and
-    /// [`score_prepared`](Self::score_prepared) — the miss itself was
-    /// already counted by whoever probed.
-    #[allow(clippy::too_many_arguments)]
-    fn score_missed<S: ViewEval + ?Sized>(
-        &self,
-        evaluator: &Evaluator<'_>,
-        subgraphs: &S,
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        reuse: Option<(&EvalMemo, &[bool])>,
-        scratch: &mut ComposeScratch,
-        l0: &mut L0Cache,
-        key: EvalKey,
-        fps: PartitionFingerprints,
-        publish: Publish,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let (scored, memo) = if self.config.incremental {
-            self.compose(
-                evaluator, subgraphs, fps, buffer, options, reuse, scratch, l0, publish,
-            )
-        } else {
-            let scored = match subgraphs.eval_full(evaluator, buffer, options, &mut scratch.columns)
-            {
-                Ok((ema_bytes, energy_pj, fits)) => {
-                    self.bulk_scorings
-                        .fetch_add(subgraphs.num_subgraphs() as u64, Ordering::Relaxed);
-                    ScoredEval {
-                        ema_bytes,
-                        energy_pj,
-                        buffer_bytes: buffer.total_bytes(),
-                        fits,
-                        error: false,
-                    }
-                }
-                Err(()) => ScoredEval::errored(buffer),
-            };
-            (scored, None)
-        };
+        let (scored, memo) = self.compose(
+            evaluator, subgraphs, fps, buffer, options, reuse, scratch, l0, publish,
+        );
         self.publish_partition(l0, publish, key, scored, memo.clone());
         self.note_stats_fallbacks(evaluator);
         (scored, memo)
@@ -1322,38 +1008,29 @@ impl Engine {
     /// `engine.batch` event. This is the one timed dispatch path; search
     /// code calls this instead of timing `pool().run` itself, which is
     /// what lets the audit confine wall-clock reads to `cocco-telemetry`.
+    ///
+    /// Jobs are claimed in units of
+    /// [`EngineConfig::resolved_chunk`] consecutive indices; within a unit
+    /// they run in index order, so a one-worker engine runs the whole
+    /// batch in index order on the caller.
     pub fn dispatch(&self, jobs: usize, job: impl Fn(usize) + Sync) {
         // Scratch growth across the batch (dispatch boundaries are
         // quiescent, so the slot sum is exact); warmed batches record 0.
         let bytes_before = self.alloc_bytes.as_ref().map(|_| self.scratch.bytes());
         let sw = Stopwatch::start();
+        let chunk = self.config.resolved_chunk(jobs);
+        let units = jobs.div_ceil(chunk);
         self.dispatched.fetch_add(jobs as u64, Ordering::Relaxed);
-        if jobs > 1 && self.pool.threads() > 1 && jobs < self.config.parallel_threshold {
-            // Adaptive serial fallback: under the measured threshold, pool
-            // hand-off costs more than it buys — run inline on the caller,
-            // in index order (exactly the serial pool's schedule).
+        self.chunks.fetch_add(units as u64, Ordering::Relaxed);
+        if units > 0 && self.pool.threads().min(units) == 1 {
             self.inline_batches.fetch_add(1, Ordering::Relaxed);
-            for i in 0..jobs {
+        }
+        self.pool.run(units, |unit| {
+            let start = unit * chunk;
+            for i in start..(start + chunk).min(jobs) {
                 job(i);
             }
-        } else {
-            let chunk = self.config.resolved_chunk(jobs);
-            if chunk <= 1 {
-                self.pool.run(jobs, job);
-            } else {
-                // Chunked hand-off: one index claim covers `chunk`
-                // consecutive jobs. Within a chunk jobs run in index
-                // order, so the serial pool's overall order is unchanged.
-                let chunk_count = jobs.div_ceil(chunk);
-                self.chunks.fetch_add(chunk_count as u64, Ordering::Relaxed);
-                self.pool.run(chunk_count, |c| {
-                    let start = c * chunk;
-                    for i in start..(start + chunk).min(jobs) {
-                        job(i);
-                    }
-                });
-            }
-        }
+        });
         // Batch-end quiescent point: publish every entry the jobs staged
         // in their slots' L0 queues, in funding order.
         self.drain_published();
@@ -1373,12 +1050,11 @@ impl Engine {
     /// Like [`dispatch`](Self::dispatch), but a panic from any job — a
     /// worker dying on a poisoned invariant, an injected fault — is caught
     /// and returned as a structured [`DispatchPanic`] instead of unwinding
-    /// through the caller. Every pool mode already delivers worker panics
-    /// to the dispatching thread (serial runs inline; scoped scopes
-    /// re-raise on join; persistent workers forward the payload and stay
-    /// alive), so catching here covers all three — and the engine stays
-    /// fully usable afterwards: the pool keeps its threads and the cache
-    /// tolerates poisoned shards.
+    /// through the caller. The pool already delivers worker panics to the
+    /// dispatching thread (inline batches unwind directly; workers forward
+    /// the payload and stay alive), so catching here covers both — and the
+    /// engine stays fully usable afterwards: the pool keeps its threads
+    /// and the cache tolerates poisoned shards.
     pub fn try_dispatch(
         &self,
         jobs: usize,
@@ -1398,9 +1074,6 @@ impl Engine {
     /// entries left staged by a panicked batch are pure values and are
     /// simply published by the next batch's drain.
     fn drain_published(&self) {
-        if !self.config.l0 {
-            return;
-        }
         let (mut partitions, mut subgraphs) = self.scratch.drain_pending();
         if partitions.is_empty() && subgraphs.is_empty() {
             return;
@@ -1415,14 +1088,6 @@ impl Engine {
         for (_, key, scored, memo) in partitions {
             self.cache.insert_memoized(key, scored, memo);
         }
-    }
-
-    /// Adds `elapsed` to the accumulated batch wall time (callers that
-    /// time a region themselves — e.g. via a telemetry `Stopwatch` —
-    /// rather than going through [`dispatch`](Self::dispatch)).
-    pub fn record_wall(&self, elapsed: Duration) {
-        self.wall_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// The authoritative metrics snapshot: everything live telemetry
@@ -1457,10 +1122,7 @@ impl Engine {
             "engine.cache.subgraph.evictions",
             self.cache.subgraph_evictions(),
         );
-        m.set_counter(
-            "engine.subgraph.scorings",
-            self.cache.subgraph_misses() + self.bulk_scorings.load(Ordering::Relaxed),
-        );
+        m.set_counter("engine.subgraph.scorings", self.cache.subgraph_misses());
         m.set_counter(
             "engine.subgraph.reused",
             self.reused.load(Ordering::Relaxed),
@@ -1563,11 +1225,13 @@ mod tests {
 
     #[test]
     fn incremental_and_full_paths_are_bit_identical() {
+        // The composed (per-subgraph, cached) score of every view equals
+        // the whole-partition evaluator — the oracle — bit for bit.
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let incremental = Engine::new(EngineConfig::serial());
-        let full = Engine::new(EngineConfig::serial().without_incremental());
+        let engine = Engine::new(EngineConfig::serial());
         let buffer = BufferConfig::shared(1 << 20);
+        let options = EvalOptions::default();
         for l in [1usize, 3, 7] {
             let p = cocco_partition::repair(
                 &g,
@@ -1575,12 +1239,20 @@ mod tests {
                 &|_| true,
             );
             let subgraphs = p.subgraphs();
-            let a = incremental.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-            let b = full.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-            assert_eq!(a, b, "L={l}");
+            let full = eval.eval_partition(&subgraphs, &buffer, options).unwrap();
+            let (composed, _) = Engine::new(EngineConfig::serial())
+                .score_partition(&eval, &p, &buffer, options, None);
+            for scored in [engine.score(&eval, &subgraphs, &buffer, options), composed] {
+                assert_eq!(scored.ema_bytes, full.ema_bytes, "L={l}");
+                assert_eq!(
+                    scored.energy_pj.to_bits(),
+                    full.energy_pj.to_bits(),
+                    "L={l}"
+                );
+                assert_eq!(scored.fits, full.fits, "L={l}");
+            }
         }
-        assert!(full.stats().subgraph_scorings > 0);
-        assert_eq!(full.stats().subgraph_hits, 0, "full path bypasses terms");
+        assert!(engine.stats().subgraph_scorings > 0);
     }
 
     #[test]
@@ -1710,10 +1382,9 @@ mod tests {
         let engine = Engine::new(EngineConfig::with_threads(2));
         let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
         let buffer = BufferConfig::shared(1 << 20);
-        for _ in 0..3 {
+        engine.dispatch(3, |_| {
             engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-        }
-        engine.record_wall(Duration::from_millis(2));
+        });
         let stats = engine.stats();
         assert_eq!(stats.threads, 2);
         assert_eq!(stats.evals, 3);
@@ -1724,7 +1395,7 @@ mod tests {
         assert_eq!(stats.cache_evictions, 0);
         assert_eq!(stats.subgraph_evictions, 0);
         assert_eq!(stats.key_allocs, 0);
-        assert!(stats.wall_ms >= 2.0);
+        assert!(stats.wall_ms > 0.0);
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -1867,36 +1538,37 @@ mod tests {
 
     #[test]
     fn score_partition_arms_are_bit_identical() {
-        // The flat arena arm and the nested reference arm must agree on
-        // every path: cold compose, cache hit, delta hint, and the
-        // non-incremental batch scorer.
+        // The flat layout view (`score_partition`) and the nested slice
+        // view (`score_composed` of `subgraphs()`) agree on the cold
+        // compose, on the cache hit, and with the evaluator oracle.
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
-        for incremental in [true, false] {
-            let base_cfg = if incremental {
-                EngineConfig::serial()
-            } else {
-                EngineConfig::serial().without_incremental()
-            };
-            let arena = Engine::new(base_cfg);
-            let reference = Engine::new(base_cfg.without_arena());
-            for l in [1usize, 3, 7] {
-                let p = cocco_partition::repair(
-                    &g,
-                    cocco_partition::Partition::depth_groups(&g, l),
-                    &|_| true,
-                );
-                let (a, memo_a) = arena.score_partition(&eval, &p, &buffer, options, None);
-                let (b, memo_b) = reference.score_partition(&eval, &p, &buffer, options, None);
-                assert_eq!(a, b, "L={l} incremental={incremental}");
-                assert_eq!(memo_a.is_some(), memo_b.is_some());
-                // And both agree with the legacy nested entry point.
-                let via_slices = arena.score(&eval, &p.subgraphs(), &buffer, options);
-                assert_eq!(a, via_slices, "cache-keyed identity across entry points");
-            }
+        let flat = Engine::new(EngineConfig::serial());
+        let nested = Engine::new(EngineConfig::serial());
+        for l in [1usize, 3, 7] {
+            let p = cocco_partition::repair(
+                &g,
+                cocco_partition::Partition::depth_groups(&g, l),
+                &|_| true,
+            );
+            let subgraphs = p.subgraphs();
+            let (a, memo_a) = flat.score_partition(&eval, &p, &buffer, options, None);
+            let (b, memo_b) = nested.score_composed(&eval, &subgraphs, &buffer, options);
+            assert_eq!(a, b, "L={l}");
+            assert_eq!(memo_a.is_some(), memo_b.is_some());
+            let full = eval.eval_partition(&subgraphs, &buffer, options).unwrap();
+            assert_eq!(a.energy_pj.to_bits(), full.energy_pj.to_bits(), "L={l}");
+            // Cache-keyed identity across entry points: each engine hits
+            // the other view's entry.
+            assert_eq!(flat.score(&eval, &subgraphs, &buffer, options), a);
+            assert_eq!(
+                nested.score_partition(&eval, &p, &buffer, options, None).0,
+                b
+            );
         }
+        assert_eq!(flat.cache().snapshot(), nested.cache().snapshot());
     }
 
     #[test]
@@ -1986,121 +1658,60 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
-        let with_l0 = Engine::new(EngineConfig::serial());
-        let without = Engine::new(EngineConfig::serial().without_l0());
+        let repeated = Engine::new(EngineConfig::serial());
+        let once = Engine::new(EngineConfig::serial());
         let p =
             cocco_partition::repair(&g, cocco_partition::Partition::depth_groups(&g, 3), &|_| {
                 true
             });
-        for engine in [&with_l0, &without] {
-            for _ in 0..3 {
-                engine.score_partition(&eval, &p, &buffer, options, None);
-            }
+        let (first, _) = once.score_partition(&eval, &p, &buffer, options, None);
+        for _ in 0..3 {
+            let (again, memo) = repeated.score_partition(&eval, &p, &buffer, options, None);
+            assert_eq!(again, first);
+            assert!(memo.is_some(), "L0 hits hand back the memo too");
         }
-        // Scores, counters visible through stats, and snapshots agree.
-        let (a, _) = with_l0.score_partition(&eval, &p, &buffer, options, None);
-        let (b, _) = without.score_partition(&eval, &p, &buffer, options, None);
-        assert_eq!(a, b);
-        assert_eq!(with_l0.stats(), without.stats());
-        assert_eq!(with_l0.cache().snapshot(), without.cache().snapshot());
-        // But only the L0 engine answered repeats locally.
-        assert!(with_l0.metrics().counter("engine.cache.l0_hits") > 0);
-        assert_eq!(without.metrics().counter("engine.cache.l0_hits"), 0);
-    }
-
-    #[test]
-    fn prepare_then_score_prepared_matches_one_shot_scoring() {
-        let g = cocco_graph::models::googlenet();
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let buffer = BufferConfig::shared(1 << 20);
-        let options = EvalOptions::default();
-        for arena in [true, false] {
-            let mut config = EngineConfig::with_threads(2);
-            if !arena {
-                config = config.without_arena();
-            }
-            let two_phase = Engine::new(config);
-            let one_shot = Engine::new(config);
-            let p = cocco_partition::repair(
-                &g,
-                cocco_partition::Partition::depth_groups(&g, 4),
-                &|_| true,
-            );
-            let probe = two_phase.prepare_partition(&eval, &p, &buffer, options, None);
-            let prepared = match probe {
-                PartitionProbe::Miss(prepared) => prepared,
-                PartitionProbe::Hit(..) => panic!("cold cache cannot hit"),
-            };
-            let mut slot = std::sync::Mutex::new(Some(prepared));
-            let result = std::sync::Mutex::new(None);
-            two_phase.dispatch(1, |_| {
-                let prepared = slot.lock().unwrap().take().unwrap();
-                *result.lock().unwrap() =
-                    Some(two_phase.score_prepared(0, &eval, &p, &buffer, options, None, prepared));
-            });
-            let (scored, memo) = result.into_inner().unwrap().unwrap();
-            let (direct, direct_memo) = one_shot.score_partition(&eval, &p, &buffer, options, None);
-            assert_eq!(scored, direct, "arena={arena}");
-            assert_eq!(memo.is_some(), direct_memo.is_some());
-            // The dispatch-end drain published the staged entries: the
-            // next prepare is a pure cache hit handing back the memo.
-            assert_eq!(two_phase.cache().snapshot(), one_shot.cache().snapshot());
-            match two_phase.prepare_partition(&eval, &p, &buffer, options, None) {
-                PartitionProbe::Hit(cached, hit_memo) => {
-                    assert_eq!(cached, scored);
-                    assert_eq!(hit_memo.is_some(), memo.is_some());
-                }
-                PartitionProbe::Miss(_) => panic!("drained entry must hit"),
-            }
-            // Exactly one partition-level probe missed (the prepare);
-            // score_prepared never re-probed.
-            assert_eq!(two_phase.stats().evals, 2, "arena={arena}");
-            assert_eq!(two_phase.stats().cache_hits, 1, "arena={arena}");
-            let _ = slot.get_mut();
-        }
+        // Repeats are answered by the slot's L0 and change nothing the
+        // shared cache (or its snapshot) holds.
+        assert_eq!(repeated.metrics().counter("engine.cache.l0_hits"), 2);
+        assert_eq!(repeated.stats().cache_hits, 2);
+        assert_eq!(repeated.cache().snapshot(), once.cache().snapshot());
     }
 
     #[test]
     fn adaptive_scheduling_and_chunking_are_observable() {
-        let engine = Engine::new(
-            EngineConfig::with_threads(2)
-                .with_chunk(crate::config::ChunkSize::Auto)
-                .with_parallel_threshold(8),
-        );
+        let engine = Engine::new(EngineConfig::with_threads(2));
         let hits = AtomicU64::new(0);
-        // Under the threshold: runs inline, all jobs still execute.
-        engine.dispatch(4, |_| {
+        // One job is one dispatch unit: the pool runs it on the caller.
+        engine.dispatch(1, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
-        // Over the threshold: chunked pool dispatch (64 jobs / (2*4) = 8
-        // jobs per chunk → 8 chunks).
+        // 64 jobs / (2 workers * 4) = 8 jobs per unit → 8 units.
         engine.dispatch(64, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(hits.load(Ordering::Relaxed), 68);
+        assert_eq!(hits.load(Ordering::Relaxed), 65);
         let m = engine.metrics();
-        assert_eq!(m.counter("engine.pool.dispatched"), 68);
+        assert_eq!(m.counter("engine.pool.dispatched"), 65);
+        assert_eq!(m.counter("engine.pool.chunks"), 9);
         assert_eq!(m.counter("engine.pool.inline_batches"), 1);
-        assert_eq!(m.counter("engine.pool.chunks"), 8);
-        // Per-candidate reference arm: no chunking, no inline batches.
-        let reference = Engine::new(
-            EngineConfig::with_threads(2)
-                .with_chunk(crate::config::ChunkSize::Fixed(1))
-                .with_parallel_threshold(0),
-        );
-        reference.dispatch(4, |_| {});
-        let m = reference.metrics();
-        assert_eq!(m.counter("engine.pool.dispatched"), 4);
-        assert_eq!(m.counter("engine.pool.inline_batches"), 0);
-        assert_eq!(m.counter("engine.pool.chunks"), 0);
+        // A one-worker engine runs every batch on the caller, in order.
+        let serial = Engine::new(EngineConfig::serial());
+        let order = std::sync::Mutex::new(Vec::new());
+        serial.dispatch(7, |i| order.lock().unwrap().push(i));
+        assert_eq!(*order.lock().unwrap(), (0..7).collect::<Vec<_>>());
+        let m = serial.metrics();
+        assert_eq!(m.counter("engine.pool.chunks"), 4);
+        assert_eq!(m.counter("engine.pool.inline_batches"), 1);
+        // An empty batch dispatches nothing.
+        serial.dispatch(0, |_| panic!("no job should run"));
+        assert_eq!(serial.metrics().counter("engine.pool.inline_batches"), 1);
     }
 
     #[test]
     fn deferred_publication_is_thread_count_invariant() {
-        // Score the same distinct partitions as one deferred batch at 1
-        // and 4 threads (chunked and not): the drained shared cache must
-        // be byte-identical, and nothing may be visible mid-batch that
-        // wasn't published by a previous batch.
+        // Score the same distinct partitions as one deferred batch at 1,
+        // 2 and 4 threads: the drained shared cache must be
+        // byte-identical, and equal to immediate one-by-one scoring.
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let buffer = BufferConfig::shared(1 << 20);
@@ -2114,12 +1725,8 @@ mod tests {
                 )
             })
             .collect();
-        let snapshot_of = |threads: u32, chunk: crate::config::ChunkSize| {
-            let engine = Engine::new(
-                EngineConfig::with_threads(threads)
-                    .with_chunk(chunk)
-                    .with_parallel_threshold(0),
-            );
+        let snapshot_of = |threads: u32| {
+            let engine = Engine::new(EngineConfig::with_threads(threads));
             engine.dispatch(partitions.len(), |i| {
                 engine.score_partition_deferred(
                     i as u64,
@@ -2132,13 +1739,14 @@ mod tests {
             });
             engine.cache().snapshot()
         };
-        let reference = snapshot_of(1, crate::config::ChunkSize::Fixed(1));
-        assert_eq!(
-            reference,
-            snapshot_of(4, crate::config::ChunkSize::Fixed(1))
-        );
-        assert_eq!(reference, snapshot_of(4, crate::config::ChunkSize::Auto));
-        assert_eq!(reference, snapshot_of(1, crate::config::ChunkSize::Auto));
+        let immediate = Engine::new(EngineConfig::serial());
+        for p in &partitions {
+            immediate.score_partition(&eval, p, &buffer, options, None);
+        }
+        let reference = immediate.cache().snapshot();
+        for threads in [1, 2, 4] {
+            assert_eq!(reference, snapshot_of(threads), "{threads} threads");
+        }
     }
 
     #[test]

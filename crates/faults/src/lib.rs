@@ -11,7 +11,7 @@
 //!    [`FaultPlan::should_inject`] whether to fail *this* time; because the
 //!    generator is seeded and every draw happens in serial code, a
 //!    [`FaultSchedule`] replays the exact same fault sequence at any thread
-//!    count or pool mode — faults are part of the experiment, not noise.
+//!    count — faults are part of the experiment, not noise.
 //! 2. **A recovery log.** Every graceful-degradation path (batch
 //!    quarantine, sample refund, bounded save retry, snapshot salvage,
 //!    budget revocation) notes what it did on the [`FaultLog`], whether or

@@ -5,14 +5,13 @@ use crate::driver::EvalBatch;
 use crate::genome::Genome;
 use crate::objective::{BufferSpace, Objective};
 use cocco_engine::{
-    Engine, EngineConfig, EvalMemo, PartitionProbe, PreparedEval, SampleBudget, SampleReservation,
-    ScoredEval, Trace, TracePoint,
+    Engine, EngineConfig, EvalMemo, SampleBudget, SampleReservation, ScoredEval, Trace, TracePoint,
 };
 use cocco_faults::{FaultPlan, FaultSite};
 use cocco_graph::{Graph, NodeId};
 use cocco_partition::{repair, repair_with_delta, Partition, PartitionDelta};
 use cocco_sim::{BufferConfig, EvalOptions, Evaluator};
-use cocco_telemetry::{Stopwatch, Telemetry};
+use cocco_telemetry::Telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -517,154 +516,55 @@ impl<'a> SearchContext<'a> {
         // section, so injection points are a pure function of the plan's
         // seed and the funding sequence — bit-identical at any thread
         // count. The disabled-plan hot path allocates nothing.
-        let injections: Option<Vec<(bool, bool)>> = if self.faults.is_enabled() {
-            Some(
-                (0..jobs.len())
-                    .map(|_| {
-                        (
-                            self.faults.should_inject(FaultSite::EvalError),
-                            self.faults.should_inject(FaultSite::WorkerPanic),
-                        )
-                    })
-                    .collect(),
-            )
+        let injections: Vec<(bool, bool)> = if self.faults.is_enabled() {
+            (0..jobs.len())
+                .map(|_| {
+                    (
+                        self.faults.should_inject(FaultSite::EvalError),
+                        self.faults.should_inject(FaultSite::WorkerPanic),
+                    )
+                })
+                .collect()
         } else {
-            None
+            Vec::new()
         };
         let results: Vec<Mutex<Option<TracePoint>>> =
             (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-        let dispatched = if let Some(injections) = injections {
-            // Fault-injection arm: the one-phase dispatch shape the fault
-            // matrix was validated against — every funded job (repair,
-            // optional injected failure, scoring with immediate cache
-            // publication) runs on the pool.
-            self.engine.try_dispatch(jobs.len(), |i| {
-                let (eval_error, worker_panic) = injections[i];
-                if worker_panic {
-                    panic!("cocco-faults: injected worker panic");
-                }
-                let (slot, objective, sample) = &jobs[i];
-                let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
-                let (parent_memo, delta, buffer) = self.take_hint_and_repair(candidate);
-                if eval_error {
-                    // Injected transient evaluator failure: the first
-                    // attempt's result is discarded and the job re-scores.
-                    // Scoring is a pure function of its inputs, so the retry
-                    // below is bit-identical to the fault-free run.
-                    let _ = self.engine.score_partition(
-                        self.evaluator,
-                        &candidate.genome.partition,
-                        &buffer,
-                        self.options,
-                        parent_memo.as_deref().map(|memo| (memo, &delta)),
-                    );
-                    self.faults.log().note_eval_rescore();
-                }
-                // score_partition materializes the member lists into the
-                // worker's scratch slot (a flat layout arena on the default
-                // arm) — no per-candidate `subgraphs()` allocation — and
-                // takes the delta path itself whenever the hint is usable.
-                let (scored, memo) = self.engine.score_partition(
-                    self.evaluator,
-                    &candidate.genome.partition,
-                    &buffer,
-                    self.options,
-                    parent_memo.as_deref().map(|memo| (memo, &delta)),
-                );
-                self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
-            })
-        } else if self.engine.config().prefilter {
-            // Hit prefilter, phase A — serial, in funding order: repair
-            // and probe the L0/shared cache hierarchy before any pool
-            // hand-off, so cache hits never pay dispatch. Timed into the
-            // engine's batch wall clock: this is work that used to run
-            // inside `dispatch`.
-            struct PendingJob {
-                idx: usize,
-                prepared: PreparedEval,
-                memo: Option<Arc<EvalMemo>>,
+        // The one batch pipeline: each job repairs its candidate, probes
+        // the L0/shared cache hierarchy and scores the misses; new cache
+        // entries are staged under the funding-order index `i` and
+        // published in that order when the batch ends, so neither worker
+        // scheduling nor an injected re-score reaches the shared cache.
+        let dispatched = self.engine.try_dispatch(jobs.len(), |i| {
+            let (eval_error, worker_panic) = injections.get(i).copied().unwrap_or_default();
+            if worker_panic {
+                panic!("cocco-faults: injected worker panic");
             }
-            let sw = Stopwatch::start();
-            let mut misses: Vec<Mutex<Option<PendingJob>>> = Vec::new();
-            for (i, (slot, objective, sample)) in jobs.iter().enumerate() {
-                let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
-                let (parent_memo, delta, buffer) = self.take_hint_and_repair(candidate);
-                match self.engine.prepare_partition(
-                    self.evaluator,
-                    &candidate.genome.partition,
-                    &buffer,
-                    self.options,
-                    parent_memo.as_deref().map(|memo| (memo, &delta)),
-                ) {
-                    PartitionProbe::Hit(scored, memo) => {
-                        self.finish_scored(
-                            &results, i, *objective, *sample, candidate, scored, memo,
-                        );
-                    }
-                    PartitionProbe::Miss(prepared) => misses.push(Mutex::new(Some(PendingJob {
-                        idx: i,
-                        prepared,
-                        memo: parent_memo,
-                    }))),
-                }
-            }
-            self.engine.record_wall(sw.elapsed());
-            if misses.is_empty() {
-                Ok(())
-            } else {
-                // Phase B: only genuine misses reach the pool (chunked
-                // and adaptively scheduled by the engine). Results and
-                // staged cache entries key on the funding-order index
-                // `idx`, so worker scheduling stays invisible.
-                self.engine.try_dispatch(misses.len(), |j| {
-                    let pending = misses[j]
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .take();
-                    // cocco-audit: allow(R1) each pending job is taken exactly once, by its own dispatch index
-                    let pending = pending.expect("each miss dispatched once");
-                    let PendingJob {
-                        idx,
-                        prepared,
-                        memo,
-                    } = pending;
-                    let (slot, objective, sample) = &jobs[idx];
-                    let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
-                    let buffer = candidate.genome.buffer;
-                    let (scored, memo_out) = self.engine.score_prepared(
-                        idx as u64,
-                        self.evaluator,
-                        &candidate.genome.partition,
-                        &buffer,
-                        self.options,
-                        memo.as_deref(),
-                        prepared,
-                    );
-                    self.finish_scored(
-                        &results, idx, *objective, *sample, candidate, scored, memo_out,
-                    );
-                })
-            }
-        } else {
-            // Prefilter disabled (reference arm): one-phase dispatch like
-            // the fault arm, but with funding-order deferred publication,
-            // so the shared cache's insertion history still matches the
-            // prefiltered pipeline's.
-            self.engine.try_dispatch(jobs.len(), |i| {
-                let (slot, objective, sample) = &jobs[i];
-                let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
-                let (parent_memo, delta, buffer) = self.take_hint_and_repair(candidate);
-                let (scored, memo) = self.engine.score_partition_deferred(
+            let (slot, objective, sample) = &jobs[i];
+            let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
+            let (parent_memo, delta, buffer) = self.take_hint_and_repair(candidate);
+            let hint = parent_memo.as_deref().map(|memo| (memo, &delta));
+            let score = || {
+                self.engine.score_partition_deferred(
                     i as u64,
                     self.evaluator,
                     &candidate.genome.partition,
                     &buffer,
                     self.options,
-                    parent_memo.as_deref().map(|memo| (memo, &delta)),
-                );
-                self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
-            })
-        };
+                    hint,
+                )
+            };
+            if eval_error {
+                // Injected transient evaluator failure: the first
+                // attempt's result is discarded and the job re-scores.
+                // Scoring is a pure function of its inputs, so the retry
+                // is bit-identical to the fault-free run.
+                let _ = score();
+                self.faults.log().note_eval_rescore();
+            }
+            let (scored, memo) = score();
+            self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
+        });
         if let Err(panic) = dispatched {
             // Discard every funded candidate uniformly (some may have
             // finished scoring, but keeping them would make results
@@ -691,8 +591,8 @@ impl<'a> SearchContext<'a> {
 
     /// The per-candidate evaluation prologue: consume the incremental
     /// hint, extend its delta with repair-induced changes, and repair the
-    /// genome in place. Pure per candidate — safe both in the serial
-    /// prefilter section and inside pool workers.
+    /// genome in place. Pure per candidate, so it runs inside pool
+    /// workers.
     fn take_hint_and_repair(
         &self,
         candidate: &mut EvalCandidate,

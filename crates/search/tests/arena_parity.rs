@@ -2,18 +2,21 @@
 //!
 //! Drives seeded random mutation / repair / crossover walks through
 //! `SearchContext::evaluate_candidates` — the same operator shapes the GA
-//! uses, including incremental [`EvalHint`]s — and asserts the flat-arena
-//! hot path ([`EngineConfig::auto`]) is **bit-identical** to the reference
-//! `Vec<Vec<NodeId>>` path ([`EngineConfig::without_arena`]) on every
-//! observable output: the full cost stream, the final (repaired) genomes,
-//! the recorded trace and the persisted cache snapshot — at 1 and 4
-//! worker threads, on `resnet50` and `randwire-a`.
+//! uses, including incremental [`EvalHint`]s — and checks the production
+//! batch pipeline (flat layout arenas, delta scoring, worker-local caches,
+//! deferred publication) against two oracles for **every** scored
+//! candidate: a fresh `Evaluator::eval_partition` of its repaired genome,
+//! and the nested `Vec<Vec<NodeId>>` view scored through
+//! `Engine::score_composed`. Walks at 1 and 4 worker threads must also be
+//! bit-identical on every observable output: the full cost stream, the
+//! final (repaired) genomes, the recorded trace and the persisted cache
+//! snapshot — on `resnet50` and `randwire-a`.
 
-use cocco_engine::{CacheSnapshot, ChunkSize, EngineConfig, EvalMemo, PoolMode, TracePoint};
+use cocco_engine::{CacheSnapshot, Engine, EngineConfig, EvalMemo, TracePoint};
 use cocco_graph::{Graph, NodeId};
 use cocco_partition::{Partition, PartitionDelta};
 use cocco_search::{BufferSpace, EvalCandidate, EvalHint, Genome, Objective, SearchContext};
-use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
+use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, EvalOptions, Evaluator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -32,19 +35,56 @@ struct WalkResult {
     snapshot: CacheSnapshot,
 }
 
-/// One seeded mutation/repair/crossover walk under an explicit engine
-/// arm. The RNG drives genome construction only — it is consumed
-/// identically on every arm, so any divergence comes from evaluation.
-fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
+/// Asserts every funded candidate's cost equals both oracles' bit for bit:
+/// the whole-partition evaluator (fresh, so no cache is shared with the
+/// walk) and the nested-view composition of a separate engine.
+fn assert_matches_oracles(
+    oracle: &Evaluator<'_>,
+    nested: &Engine,
+    candidates: &[EvalCandidate],
+    threads: u32,
+) {
+    let options = EvalOptions::default();
+    for candidate in candidates {
+        let Some(cost) = candidate.cost else { continue };
+        let subgraphs = candidate.genome.partition.subgraphs();
+        let report = oracle
+            .eval_partition(&subgraphs, &BUFFER, options)
+            .expect("repaired genomes evaluate");
+        let full = report.cost_formula1(CostMetric::Energy);
+        assert_eq!(
+            cost.to_bits(),
+            full.to_bits(),
+            "batch score diverged from eval_partition at {threads} threads"
+        );
+        let composed = nested
+            .score_composed(oracle, &subgraphs, &BUFFER, options)
+            .0
+            .cost(CostMetric::Energy, None);
+        assert_eq!(
+            cost.to_bits(),
+            composed.to_bits(),
+            "batch score diverged from the nested view at {threads} threads"
+        );
+    }
+}
+
+/// One seeded mutation/repair/crossover walk at `threads` workers, every
+/// scored candidate checked against the oracles. The RNG drives genome
+/// construction only — it is consumed identically at every thread count,
+/// so any divergence comes from evaluation.
+fn walk(model: &Graph, threads: u32) -> WalkResult {
     let evaluator = Evaluator::new(model, AcceleratorConfig::default());
+    let oracle = Evaluator::new(model, AcceleratorConfig::default());
+    let nested = Engine::new(EngineConfig::serial());
     let ctx = SearchContext::new(
         model,
         &evaluator,
         BufferSpace::fixed(BUFFER),
-        Objective::partition_only(CostMetric::Ema),
+        Objective::partition_only(CostMetric::Energy),
         100_000,
     )
-    .with_engine(config);
+    .with_engine(EngineConfig::with_threads(threads));
     let ids: Vec<NodeId> = model.node_ids().collect();
     let mut rng = StdRng::seed_from_u64(0xC0CC0);
     let mut genomes: Vec<Genome> = (0..POP)
@@ -99,20 +139,17 @@ fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
             })
             .collect();
         costs.extend(ctx.evaluate_candidates(&mut candidates));
+        assert_matches_oracles(&oracle, &nested, &candidates, threads);
         for (i, candidate) in candidates.into_iter().enumerate() {
             genomes[i] = candidate.genome;
             memos[i] = candidate.memo;
         }
     }
     let stats = ctx.engine().stats();
-    if config.arena {
-        assert_eq!(
-            stats.hot_allocs,
-            0,
-            "arena arm recorded hot-path allocations at {} threads",
-            config.resolved_threads()
-        );
-    }
+    assert_eq!(
+        stats.hot_allocs, 0,
+        "hot-path allocations recorded at {threads} threads"
+    );
     assert_eq!(
         stats.key_allocs, 0,
         "cache probes must build zero per-probe keys"
@@ -129,79 +166,25 @@ fn walk(model: &Graph, config: EngineConfig) -> WalkResult {
     }
 }
 
-/// The scale-out arm grid at one thread count: every layer of the
-/// contention-free pipeline — hit prefilter, worker-local L0 caches,
-/// adaptive inline scheduling, chunked dispatch — toggled off one at a
-/// time (and all at once), plus both pool lifecycles and the
-/// reference-view arm. Seeded walks must be bit-identical across all of
-/// them.
-fn arm_grid(threads: u32) -> Vec<(&'static str, EngineConfig)> {
-    let base = EngineConfig::with_threads(threads);
-    vec![
-        ("default", base),
-        ("reference-view", base.without_arena()),
-        ("no-prefilter", base.without_prefilter()),
-        ("no-l0", base.without_l0()),
-        ("no-adaptive", base.with_parallel_threshold(0)),
-        ("chunk-1", base.with_chunk(ChunkSize::Fixed(1))),
-        ("scoped-pool", base.with_pool(PoolMode::Scoped)),
-        (
-            "all-off",
-            base.without_prefilter()
-                .without_l0()
-                .with_parallel_threshold(0)
-                .with_chunk(ChunkSize::Fixed(1))
-                .with_pool(PoolMode::Scoped),
-        ),
-    ]
-}
-
 fn assert_walks_identical(model: &Graph) {
-    // The reference arm: serial, nested-view, every scale-out layer off —
-    // the plainest possible evaluation pipeline.
-    let reference = walk(
-        model,
-        EngineConfig::serial()
-            .without_arena()
-            .without_prefilter()
-            .without_l0()
-            .with_parallel_threshold(0)
-            .with_chunk(ChunkSize::Fixed(1)),
-    );
+    let reference = walk(model, 1);
     assert_eq!(
         reference.costs.len(),
         POP * ROUNDS,
         "budget must never run out in this walk"
     );
-    for threads in [1u32, 4] {
-        for (arm, config) in arm_grid(threads) {
-            let other = walk(model, config);
-            assert_eq!(
-                reference.costs,
-                other.costs,
-                "{}: cost stream diverged ({arm}, {threads} threads)",
-                model.name()
-            );
-            assert_eq!(
-                reference.genomes,
-                other.genomes,
-                "{}: repaired genomes diverged ({arm}, {threads} threads)",
-                model.name()
-            );
-            assert_eq!(
-                reference.trace,
-                other.trace,
-                "{}: traces diverged ({arm}, {threads} threads)",
-                model.name()
-            );
-            assert_eq!(
-                reference.snapshot,
-                other.snapshot,
-                "{}: persisted cache snapshots diverged ({arm}, {threads} threads)",
-                model.name()
-            );
-        }
-    }
+    let other = walk(model, 4);
+    let name = model.name();
+    assert_eq!(reference.costs, other.costs, "{name}: cost stream diverged");
+    assert_eq!(
+        reference.genomes, other.genomes,
+        "{name}: repaired genomes diverged"
+    );
+    assert_eq!(reference.trace, other.trace, "{name}: traces diverged");
+    assert_eq!(
+        reference.snapshot, other.snapshot,
+        "{name}: persisted cache snapshots diverged"
+    );
 }
 
 #[test]

@@ -29,14 +29,17 @@
 //! paths, lower-case, with histograms suffixed by their unit:
 //!
 //! - `engine.batch.latency_ns`, `engine.pool.queue_wait_ns`
+//! - `engine.batch.wall_ns` (gauge; the facade's `eval` phase): summed
+//!   batch wall time, covering repair, cache probe and scoring of every
+//!   batch job
 //! - `engine.pool.dispatched` / `.chunks` / `.inline_batches` (jobs
-//!   reaching the pool after the hit prefilter, chunked hand-off
-//!   units, and batches the adaptive scheduler ran inline)
+//!   handed to the pool, the claim units they were split into, and
+//!   batches run on the caller — one unit, or a one-worker engine)
 //! - `engine.cache.partition.hits` / `.misses` / `.evictions` (and
 //!   `…cache.subgraph.*` for the second level)
 //! - `engine.cache.l0_hits` / `.l0_publishes` (probes answered by a
-//!   worker-local L0 cache, and entries staged for the deterministic
-//!   funding-order drain at batch end)
+//!   worker's local cache, and entries staged for the funding-order
+//!   publication at batch end)
 //! - `search.step_ns` (span), `search.improvement` (event),
 //!   `search.budget.used` (gauge)
 //! - `sim.subgraph_stats_ns` (derivation latency on stats-cache misses)

@@ -39,6 +39,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// Parses JSON text into a typed structure.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -147,6 +148,7 @@ fn write_string(out: &mut String, s: &str) {
 // ---- parser ----------------------------------------------------------------
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -334,12 +336,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-scan from the byte position to keep UTF-8 intact.
+                    // The input is already a `&str` and `start` sits on a
+                    // char boundary, so decode just this char in O(1).
                     let start = self.pos - 1;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
+                    let c = self
+                        .text
+                        .get(start..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| Error::custom("string char off a UTF-8 boundary"))?;
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -426,6 +430,24 @@ mod tests {
         let text = to_string(&s).unwrap();
         let back: String = from_str(&text).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn multibyte_chars_next_to_escapes_round_trip() {
+        for s in [
+            "é\n𝄞\t漢字\"",
+            "\\é",
+            "𝄞",
+            "a\u{1}b",
+            "混合 ascii, é, 𝄞 and \\ escapes\r\n",
+        ] {
+            let text = to_string(&s).unwrap();
+            let back: String = from_str(&text).unwrap();
+            assert_eq!(back, s, "{text}");
+        }
+        // Escapes decode right after a multi-byte char, and vice versa.
+        let back: String = from_str("\"é\\u00e9𝄞\\n漢\"").unwrap();
+        assert_eq!(back, "éé𝄞\n漢");
     }
 
     #[test]

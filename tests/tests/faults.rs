@@ -51,6 +51,13 @@ fn transparent_faults_complete_bit_identically() {
     assert_eq!(plain.genome, faulty.genome);
     assert_eq!(plain.trace, faulty.trace);
     assert_eq!(plain.samples, faulty.samples);
+    // Re-scores and retried saves publish through the same funding-order
+    // path: the persisted caches are byte-identical too.
+    assert_eq!(
+        std::fs::read(dir.join("plain.cache.json")).unwrap(),
+        std::fs::read(dir.join("faulty.cache.json")).unwrap(),
+        "the faulty run's cache file drifted"
+    );
     let health = plan.health();
     assert!(
         health.faults_seen() > 0,
