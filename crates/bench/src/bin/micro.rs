@@ -27,7 +27,7 @@
 //!   arms that asserts bit-identical results serial vs parallel vs
 //!   telemetry and across the {1, 2, 8}-thread determinism matrix (cost,
 //!   genome, trace and cache snapshot), zero hot-path allocations
-//!   (per-probe keys and canonicalize fallbacks), live memo reuse on the
+//!   (`engine.hot_allocs`: canonicalize fallbacks), live memo reuse on the
 //!   delta path, the fault-injection matrix (seeded fault schedules ×
 //!   {1, n} threads: bit-identical completion or a structured error with
 //!   salvage — never a hang, a stranded budget sample or a leaked temp
@@ -101,10 +101,33 @@ struct GaRun {
     metrics: MetricsSnapshot,
 }
 
-impl GaRun {
-    fn stats(&self) -> EngineStats {
-        EngineStats::from_metrics(&self.metrics)
+/// `part / whole` (0 when `whole` is 0).
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
+}
+
+/// Fraction of partition-scoring requests served from the roll-up cache.
+fn hit_rate(m: &MetricsSnapshot) -> f64 {
+    ratio(
+        m.counter("engine.cache.partition.hits"),
+        m.counter("engine.evals"),
+    )
+}
+
+/// Fraction of subgraph-term requests that avoided a full scoring (cache
+/// hit or memo reuse).
+fn subgraph_hit_rate(m: &MetricsSnapshot) -> f64 {
+    let avoided = m.counter("engine.cache.subgraph.hits") + m.counter("engine.subgraph.reused");
+    ratio(avoided, avoided + m.counter("engine.subgraph.scorings"))
+}
+
+/// Entries evicted across both cache levels.
+fn evictions(m: &MetricsSnapshot) -> u64 {
+    m.counter("engine.cache.partition.evictions") + m.counter("engine.cache.subgraph.evictions")
 }
 
 /// One timed GA run under an explicit engine configuration (optionally
@@ -162,19 +185,13 @@ fn assert_runs_identical(reference: &GaRun, other: &GaRun, cell: &str) {
     );
 }
 
-/// Asserts the hot-path allocation tripwires of one run: zero per-probe
-/// keys, zero canonicalize fallbacks, and therefore zero `hot_allocs`.
-fn assert_hot_path_clean(stats: &EngineStats, cell: &str) {
+/// Asserts the hot-path allocation tripwire of one run: zero
+/// `engine.hot_allocs` (statistics misses that had to sort a copy of an
+/// out-of-order member list).
+fn assert_hot_path_clean(metrics: &MetricsSnapshot, cell: &str) {
     assert_eq!(
-        stats.key_allocs, 0,
-        "{cell}: cache probes must build zero per-probe keys"
-    );
-    assert_eq!(
-        stats.stats_canonicalize_fallbacks, 0,
-        "{cell}: engine-fed member lists must already be sorted"
-    );
-    assert_eq!(
-        stats.hot_allocs, 0,
+        metrics.counter("engine.hot_allocs"),
+        0,
         "{cell}: the warmed scoring hot path must stay allocation-free"
     );
 }
@@ -231,17 +248,19 @@ fn engine_bench(smoke: bool, threads: u32) -> serde_json::Value {
         .cloned()
         .expect("a GA run dispatches batches");
 
-    let serial_stats = serial.stats();
-    let stats = parallel.stats();
-    assert!(stats.cache_hits > 0, "GA run never hit the eval cache");
+    let serial_metrics = &serial.metrics;
+    let metrics = &parallel.metrics;
     assert!(
-        serial_stats.subgraph_reused > 0,
+        metrics.counter("engine.cache.partition.hits") > 0,
+        "GA run never hit the eval cache"
+    );
+    assert!(
+        serial_metrics.counter("engine.subgraph.reused") > 0,
         "GA offspring never reused a memoized subgraph term"
     );
-    for (arm, arm_stats) in [("serial", &serial_stats), ("parallel", &stats)] {
-        assert_hot_path_clean(arm_stats, arm);
+    for (arm, arm_metrics) in [("serial", serial_metrics), ("parallel", metrics)] {
+        assert_hot_path_clean(arm_metrics, arm);
     }
-    let metrics = &parallel.metrics;
     assert!(
         metrics.counter("engine.arena.reuses") > 0,
         "the layout arenas never reused a warmed buffer"
@@ -253,9 +272,9 @@ fn engine_bench(smoke: bool, threads: u32) -> serde_json::Value {
     println!(
         "serial (1 thr)       : {:>10}  ({} scorings, {} cached, {} reused)",
         fmt_time(serial.wall.as_secs_f64()),
-        serial_stats.subgraph_scorings,
-        serial_stats.subgraph_hits,
-        serial_stats.subgraph_reused,
+        serial_metrics.counter("engine.subgraph.scorings"),
+        serial_metrics.counter("engine.cache.subgraph.hits"),
+        serial_metrics.counter("engine.subgraph.reused"),
     );
     println!(
         "parallel ({threads} thr)     : {:>10}  ({} jobs, {} units, {} inline batches)",
@@ -274,16 +293,16 @@ fn engine_bench(smoke: bool, threads: u32) -> serde_json::Value {
     println!("speedup (threads)    : {speedup:.2}x");
     println!(
         "subgraph hit rate    : {:.0}%",
-        serial_stats.subgraph_hit_rate() * 100.0
+        subgraph_hit_rate(serial_metrics) * 100.0
     );
     println!(
         "cache                : {} evals, {} hits ({:.0}%), {} roll-ups + {} terms, {} evicted",
-        stats.evals,
-        stats.cache_hits,
-        stats.hit_rate() * 100.0,
-        stats.cache_entries,
-        stats.subgraph_entries,
-        stats.evictions(),
+        metrics.counter("engine.evals"),
+        metrics.counter("engine.cache.partition.hits"),
+        hit_rate(metrics) * 100.0,
+        metrics.gauge("engine.cache.partition.entries"),
+        metrics.gauge("engine.cache.subgraph.entries"),
+        evictions(metrics),
     );
     println!(
         "scratch              : {} B, {} layout reuses, {} grows",
@@ -326,27 +345,35 @@ fn engine_bench(smoke: bool, threads: u32) -> serde_json::Value {
                 ("speedup".to_string(), serde_json::to_value(&speedup)),
             ]),
         ),
-        ("evals".to_string(), u64_value(stats.evals)),
-        ("cache_hits".to_string(), u64_value(stats.cache_hits)),
+        (
+            "evals".to_string(),
+            u64_value(metrics.counter("engine.evals")),
+        ),
+        (
+            "cache_hits".to_string(),
+            u64_value(metrics.counter("engine.cache.partition.hits")),
+        ),
         (
             "cache_hit_rate".to_string(),
-            serde_json::to_value(&stats.hit_rate()),
+            serde_json::to_value(&hit_rate(metrics)),
         ),
         (
             "subgraph_scorings".to_string(),
-            u64_value(serial_stats.subgraph_scorings),
+            u64_value(serial_metrics.counter("engine.subgraph.scorings")),
         ),
         (
             "subgraph_hit_rate".to_string(),
-            serde_json::to_value(&serial_stats.subgraph_hit_rate()),
+            serde_json::to_value(&subgraph_hit_rate(serial_metrics)),
         ),
         (
             "subgraph_reused".to_string(),
-            u64_value(serial_stats.subgraph_reused),
+            u64_value(serial_metrics.counter("engine.subgraph.reused")),
         ),
-        ("key_allocs".to_string(), u64_value(stats.key_allocs)),
-        ("hot_allocs".to_string(), u64_value(stats.hot_allocs)),
-        ("cache_evictions".to_string(), u64_value(stats.evictions())),
+        (
+            "hot_allocs".to_string(),
+            u64_value(metrics.counter("engine.hot_allocs")),
+        ),
+        ("cache_evictions".to_string(), u64_value(evictions(metrics))),
         (
             "dispatched_jobs".to_string(),
             u64_value(metrics.counter("engine.pool.dispatched")),
@@ -462,7 +489,7 @@ fn thread_matrix_check() {
             None,
         );
         let cell = format!("{threads} threads");
-        assert_hot_path_clean(&run.stats(), &cell);
+        assert_hot_path_clean(&run.metrics, &cell);
         match &reference {
             Some(first) => assert_runs_identical(first, &run, &cell),
             None => reference = Some(run),
@@ -775,7 +802,7 @@ fn capacity_sweep(threads: u32) -> serde_json::Value {
     for capacity in [usize::MAX, 16_384, 2_048, 256] {
         let config = EngineConfig::with_threads(threads).with_cache_capacity(capacity);
         let run = ga_run(&model, budget, population, config, None);
-        let (wall, stats) = (run.wall, run.stats());
+        let (wall, metrics) = (run.wall, &run.metrics);
         assert_eq!(
             run.cost, reference.cost,
             "capacity {capacity}: eviction changed the best cost"
@@ -784,7 +811,8 @@ fn capacity_sweep(threads: u32) -> serde_json::Value {
             run.best, reference.best,
             "capacity {capacity}: eviction changed the best genome"
         );
-        let entries = stats.cache_entries + stats.subgraph_entries;
+        let entries = metrics.gauge("engine.cache.partition.entries")
+            + metrics.gauge("engine.cache.subgraph.entries");
         if capacity != usize::MAX {
             assert!(
                 entries <= capacity as u64,
@@ -800,8 +828,8 @@ fn capacity_sweep(threads: u32) -> serde_json::Value {
             },
             fmt_time(wall.as_secs_f64()),
             entries,
-            stats.evictions(),
-            stats.hit_rate() * 100.0,
+            evictions(metrics),
+            hit_rate(metrics) * 100.0,
         );
         rows.push(serde_json::Value::Object(vec![
             (
@@ -815,7 +843,7 @@ fn capacity_sweep(threads: u32) -> serde_json::Value {
             ("entries".to_string(), serde_json::to_value(&entries)),
             (
                 "evictions".to_string(),
-                serde_json::to_value(&stats.evictions()),
+                serde_json::to_value(&evictions(metrics)),
             ),
         ]));
     }
@@ -968,13 +996,13 @@ fn stepped_parity_check(threads: u32) {
 /// this arm. Returns wall time, the outcome, the evaluator stats-cache hit
 /// rate (the cross-candidate reuse channel: statistics are
 /// buffer-independent, so elite partitions migrating between capacity
-/// candidates hit it) and the engine stats.
+/// candidates hit it) and the engine metrics.
 fn twostep_run(
     model: &Graph,
     budget: u64,
     interleave: bool,
     threads: u32,
-) -> (Duration, f64, f64, u64, EngineStats) {
+) -> (Duration, f64, f64, u64, MetricsSnapshot) {
     let evaluator = Evaluator::new(model, AcceleratorConfig::default());
     let ctx = SearchContext::new(
         model,
@@ -1009,7 +1037,7 @@ fn twostep_run(
         outcome.best_cost,
         evaluator.stats_cache_hit_rate(),
         evaluator.stats_cache_misses(),
-        ctx.engine().stats(),
+        ctx.engine().metrics(),
     )
 }
 
@@ -1022,9 +1050,9 @@ fn twostep_run(
 fn twostep_bench(smoke: bool, threads: u32) -> serde_json::Value {
     let model = cocco::graph::models::resnet50();
     let budget = if smoke { 600 } else { 2_000 };
-    let (seq_wall, seq_cost, seq_hit_rate, seq_misses, seq_stats) =
+    let (seq_wall, seq_cost, seq_hit_rate, seq_misses, seq_metrics) =
         twostep_run(&model, budget, false, threads);
-    let (int_wall, int_cost, int_hit_rate, int_misses, int_stats) =
+    let (int_wall, int_cost, int_hit_rate, int_misses, int_metrics) =
         twostep_run(&model, budget, true, threads);
     assert!(seq_cost.is_finite() && int_cost.is_finite());
     assert!(
@@ -1095,11 +1123,11 @@ fn twostep_bench(smoke: bool, threads: u32) -> serde_json::Value {
         ),
         (
             "sequential_engine_hit_rate".to_string(),
-            serde_json::to_value(&seq_stats.hit_rate()),
+            serde_json::to_value(&hit_rate(&seq_metrics)),
         ),
         (
             "interleaved_engine_hit_rate".to_string(),
-            serde_json::to_value(&int_stats.hit_rate()),
+            serde_json::to_value(&hit_rate(&int_metrics)),
         ),
     ])
 }
@@ -1238,8 +1266,8 @@ fn main() {
     let threads = threads.max(1);
 
     if smoke {
-        // CI smoke: exercise the incremental delta path, the zero-key-
-        // allocation invariant, the determinism invariant, the
+        // CI smoke: exercise the incremental delta path, the zero
+        // hot-path allocation invariant, the determinism invariant, the
         // fault-injection matrix, stepped-vs-monolithic parity (driver +
         // JSON-resume) and the interleaved-vs-sequential two-step arm at
         // the requested worker count; skip the slow timing loops.

@@ -269,11 +269,10 @@ struct JsonReport {
     exploration: Exploration,
 }
 
-/// What `--stats-json` writes: the compatibility [`EngineStats`] next to
-/// the full metrics registry and per-phase wall-time profile.
+/// What `--stats-json` writes: the full metrics registry (engine counters
+/// included) and the per-phase wall-time profile.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct StatsDump {
-    stats: EngineStats,
     metrics: MetricsSnapshot,
     phases: PhaseSnapshot,
     events_dropped: u64,
@@ -436,7 +435,6 @@ fn main() -> ExitCode {
     // never discards a completed exploration.
     if let Some(path) = &args.stats_json {
         let dump = StatsDump {
-            stats: result.stats,
             metrics: telemetry.snapshot(),
             phases: telemetry.phases(),
             events_dropped: telemetry.events_dropped(),
@@ -499,26 +497,33 @@ fn main() -> ExitCode {
     );
     println!("avg bandwidth      : {:.2} GB/s", result.report.avg_bw_gbps);
     println!("samples used       : {}", result.samples);
-    println!(
-        "engine             : {} threads, {} evals, {} cache hits ({:.0}%), {:.1} ms",
-        result.stats.threads,
-        result.stats.evals,
-        result.stats.cache_hits,
-        result.stats.hit_rate() * 100.0,
-        result.stats.wall_ms,
+    let m = &result.metrics;
+    let percent = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
+    let (evals, hits) = (
+        m.counter("engine.evals"),
+        m.counter("engine.cache.partition.hits"),
     );
     println!(
-        "subgraph terms     : {} scored, {} cached, {} reused ({:.0}% avoided)",
-        result.stats.subgraph_scorings,
-        result.stats.subgraph_hits,
-        result.stats.subgraph_reused,
-        result.stats.subgraph_hit_rate() * 100.0,
+        "engine             : {} threads, {evals} evals, {hits} cache hits ({:.0}%), {:.1} ms",
+        m.gauge("engine.threads"),
+        percent(hits, evals),
+        m.gauge("engine.batch.wall_ns") as f64 / 1e6,
     );
-    if result.stats.evictions() > 0 {
-        println!(
-            "cache evictions    : {} roll-ups + {} terms (bounded cache)",
-            result.stats.cache_evictions, result.stats.subgraph_evictions,
-        );
+    let (scored, cached, reused) = (
+        m.counter("engine.subgraph.scorings"),
+        m.counter("engine.cache.subgraph.hits"),
+        m.counter("engine.subgraph.reused"),
+    );
+    println!(
+        "subgraph terms     : {scored} scored, {cached} cached, {reused} reused ({:.0}% avoided)",
+        percent(cached + reused, scored + cached + reused),
+    );
+    let (roll_ups, terms) = (
+        m.counter("engine.cache.partition.evictions"),
+        m.counter("engine.cache.subgraph.evictions"),
+    );
+    if roll_ups + terms > 0 {
+        println!("cache evictions    : {roll_ups} roll-ups + {terms} terms (bounded cache)");
     }
     if let Some(save_error) = &result.cache_save_error {
         eprintln!("warning            : could not save cache file ({save_error})");

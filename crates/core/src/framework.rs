@@ -1,7 +1,7 @@
 //! The end-to-end framework driver (paper Figure 10).
 
 use crate::error::{Error, SalvagedBest};
-use cocco_engine::{CacheSnapshot, EngineConfig, EngineStats};
+use cocco_engine::{CacheSnapshot, EngineConfig};
 use cocco_faults::{FaultPlan, FaultSite, HealthReport};
 use cocco_graph::Graph;
 use cocco_search::{
@@ -9,7 +9,7 @@ use cocco_search::{
     SearchSnapshot, Searcher, Trace, CHECKPOINT_VERSION,
 };
 use cocco_sim::{AcceleratorConfig, EvalOptions, Evaluator, PartitionReport};
-use cocco_telemetry::{Phase, Stopwatch, Telemetry};
+use cocco_telemetry::{MetricsSnapshot, Phase, Stopwatch, Telemetry};
 use serde::{Deserialize, Serialize};
 
 pub use cocco_search::Genome;
@@ -38,9 +38,12 @@ pub struct Exploration {
     /// fit"/infinite cost. Non-zero on a well-formed run means a
     /// configuration bug, not a genuinely infeasible design point.
     pub infeasible_errors: u64,
-    /// Evaluation-engine statistics: scoring requests, cache hits,
-    /// batch wall time and worker-thread count.
-    pub stats: EngineStats,
+    /// Evaluation-engine metrics ([`Engine::metrics`](cocco_engine::Engine::metrics)):
+    /// scoring requests, cache hits, batch wall time and worker-thread
+    /// count, each under its dot-separated name (`engine.evals`,
+    /// `engine.cache.partition.hits`, `engine.batch.wall_ns`,
+    /// `engine.threads`, …).
+    pub metrics: MetricsSnapshot,
     /// Every recorded evaluation, for convergence (Fig. 12) and
     /// distribution (Fig. 13) studies.
     pub trace: Trace,
@@ -463,7 +466,7 @@ impl Cocco {
             samples: outcome.samples,
             completed: outcome.completed,
             infeasible_errors: ctx.trace().infeasible_errors(),
-            stats: ctx.engine().stats(),
+            metrics: ctx.engine().metrics(),
             trace: ctx.trace().clone(),
             cache_save_error,
             checkpoint_save_error,
@@ -680,8 +683,11 @@ mod tests {
         assert_eq!(serial.cost, parallel.cost);
         assert_eq!(serial.genome, parallel.genome);
         assert_eq!(serial.trace, parallel.trace);
-        assert_eq!(serial.stats.evals, parallel.stats.evals);
-        assert_eq!(parallel.stats.threads, 4);
+        assert_eq!(
+            serial.metrics.counter("engine.evals"),
+            parallel.metrics.counter("engine.evals")
+        );
+        assert_eq!(parallel.metrics.gauge("engine.threads"), 4);
     }
 
     #[test]
@@ -693,10 +699,10 @@ mod tests {
             .explore(&model)
             .unwrap();
         assert!(
-            result.stats.cache_hits > 0,
+            result.metrics.counter("engine.cache.partition.hits") > 0,
             "a GA population re-proposes genomes; some evaluations must hit the cache"
         );
-        assert!(result.stats.evals >= result.samples);
+        assert!(result.metrics.counter("engine.evals") >= result.samples);
         assert_eq!(
             result.infeasible_errors, 0,
             "a well-formed run must not hide evaluator errors"
@@ -722,15 +728,20 @@ mod tests {
         assert_eq!(cold.cost, warm.cost);
         assert_eq!(cold.genome, warm.genome);
         assert_eq!(cold.trace, warm.trace);
+        let hit_rate = |x: &Exploration| {
+            x.metrics.counter("engine.cache.partition.hits") as f64
+                / x.metrics.counter("engine.evals") as f64
+        };
         assert!(
-            warm.stats.hit_rate() > cold.stats.hit_rate(),
+            hit_rate(&warm) > hit_rate(&cold),
             "second run must answer more requests from the persisted cache \
              (cold {:.3} vs warm {:.3})",
-            cold.stats.hit_rate(),
-            warm.stats.hit_rate()
+            hit_rate(&cold),
+            hit_rate(&warm)
         );
         assert_eq!(
-            warm.stats.subgraph_scorings, 0,
+            warm.metrics.counter("engine.subgraph.scorings"),
+            0,
             "a fully warm-started run must not re-score any subgraph"
         );
 
@@ -742,7 +753,7 @@ mod tests {
         accel.mac_cols *= 2;
         let other = session().with_accelerator(accel).explore(&model).unwrap();
         assert!(
-            other.stats.subgraph_scorings > 0,
+            other.metrics.counter("engine.subgraph.scorings") > 0,
             "a different accelerator fingerprint must force fresh scorings \
              instead of reusing the stale file"
         );

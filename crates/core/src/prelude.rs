@@ -13,8 +13,8 @@
 pub use crate::error::{Error, SalvagedBest};
 pub use crate::framework::{Cocco, Exploration};
 pub use cocco_engine::{
-    CacheSnapshot, Engine, EngineConfig, EngineStats, EvalMemo, SampleBudget, SampleReservation,
-    ScoredEval, SubgraphScore, ThreadCount,
+    CacheSnapshot, Engine, EngineConfig, EvalMemo, SampleBudget, SampleReservation, ScoredEval,
+    SubgraphScore, ThreadCount,
 };
 pub use cocco_faults::{FaultPlan, FaultRates, FaultSchedule, FaultSite, HealthReport};
 pub use cocco_graph::{

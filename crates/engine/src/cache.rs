@@ -723,11 +723,6 @@ fn extract_array_elements<'a>(text: &'a str, field: &str) -> Vec<&'a str> {
 pub struct EvalCache {
     partition: Level<(ScoredEval, Option<Arc<EvalMemo>>)>,
     subgraph: Level<SubgraphScore>,
-    /// Per-probe key-material heap allocations. The fingerprint path never
-    /// allocates to build or look up a key, so this stays 0; it exists as
-    /// a regression tripwire (asserted by the CI smoke benchmark) for any
-    /// future code path that falls back to allocating keys.
-    key_allocs: AtomicU64,
 }
 
 impl EvalCache {
@@ -766,7 +761,6 @@ impl EvalCache {
         Self {
             partition: Level::new("partition", partition, telemetry.clone()),
             subgraph: Level::new("subgraph", subgraph, telemetry),
-            key_allocs: AtomicU64::new(0),
         }
     }
 
@@ -851,17 +845,6 @@ impl EvalCache {
     /// Subgraph-level entries evicted by generation sweeps.
     pub fn subgraph_evictions(&self) -> u64 {
         self.subgraph.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Per-probe key-material allocations (see the field docs; always 0 on
-    /// the fingerprint path).
-    pub fn key_allocs(&self) -> u64 {
-        self.key_allocs.load(Ordering::Relaxed)
-    }
-
-    /// Records a per-probe key allocation (tripwire; no current caller).
-    pub fn record_key_alloc(&self) {
-        self.key_allocs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts a partition lookup answered by a worker-local L0 cache.
@@ -1085,7 +1068,6 @@ mod tests {
         assert_eq!(cache.subgraph_misses(), 1);
         assert_eq!(cache.subgraph_entries(), 1);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.key_allocs(), 0);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct EngineConfig {
     /// levels (the memo-carrying partition level's share is additionally
     /// capped — see `EvalCache::with_capacity`). When a level fills up, a
     /// generation sweep evicts the entries not touched since the previous
-    /// sweep (evictions are counted in `EngineStats`). Defaults to
+    /// sweep (evictions are counted in `Engine::metrics`). Defaults to
     /// [`DEFAULT_CACHE_CAPACITY`](Self::DEFAULT_CACHE_CAPACITY) — generous
     /// enough that ordinary explorations never evict.
     pub cache_capacity: usize,
@@ -96,15 +96,6 @@ impl EngineConfig {
                 .min(Self::AUTO_CAP),
         }
     }
-
-    /// Jobs per pool claim for a batch of `jobs`: `ceil(jobs / (threads *
-    /// 4))`, at least 1. Four claims per worker keep the tail balanced
-    /// while one claim covers several jobs. Claims never reorder results —
-    /// jobs within a claim run in index order and the caller stores
-    /// results per index.
-    pub fn resolved_chunk(&self, jobs: usize) -> usize {
-        jobs.div_ceil(self.resolved_threads() * 4).max(1)
-    }
 }
 
 impl Default for EngineConfig {
@@ -142,17 +133,6 @@ mod tests {
         let n = EngineConfig::auto().resolved_threads();
         assert!(n >= 1);
         assert!(n <= EngineConfig::AUTO_CAP);
-    }
-
-    #[test]
-    fn chunk_sizes_resolve_sanely() {
-        // Four claims per worker, never zero.
-        let four = EngineConfig::with_threads(4);
-        assert_eq!(four.resolved_chunk(64), 4);
-        assert_eq!(four.resolved_chunk(100), 7);
-        assert_eq!(four.resolved_chunk(16), 1);
-        assert_eq!(four.resolved_chunk(0), 1);
-        assert_eq!(EngineConfig::serial().resolved_chunk(7), 2);
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Scoring is **subgraph-granular**: a partition's objective terms are
 //! composed from per-subgraph scores that are memoized individually (see
 //! [`EvalCache`]), and a caller that knows *which* subgraphs a mutation
-//! touched ([`Engine::score_delta`]) re-derives only those terms — plus the
-//! `next_wgt` predecessors whose prefetch input changed — while every
-//! untouched term is copied from the previous evaluation's [`EvalMemo`].
-//! All three paths (full evaluator, cached composition, memo reuse) are
-//! bit-identical by construction: `Evaluator::eval_subgraph` is a pure
+//! touched (the [`PartitionDelta`] hint of [`Engine::score_partition`])
+//! re-derives only those terms — plus the `next_wgt` predecessors whose
+//! prefetch input changed — while every untouched term is copied from the
+//! previous evaluation's [`EvalMemo`]. Cached composition and memo reuse
+//! are bit-identical to the full evaluator (`Evaluator::eval_partition`,
+//! the test oracle) by construction: `Evaluator::eval_subgraph` is a pure
 //! function and the roll-up is an in-order fold.
 //!
 //! Cache identity is carried by precomputed 128-bit subgraph fingerprints
@@ -22,7 +23,7 @@ use crate::cache::{EvalCache, EvalKey};
 use crate::config::EngineConfig;
 use crate::pool::EnginePool;
 use cocco_graph::{BuildFpHasher, NodeId, NodeSetFp};
-use cocco_partition::{Partition, PartitionDelta, PartitionFingerprints, SubgraphsView};
+use cocco_partition::{Partition, PartitionDelta, PartitionFingerprints, PartitionLayout};
 use cocco_sim::{BufferConfig, CostMetric, EvalOptions, Evaluator, SubgraphStats};
 use cocco_telemetry::{Histogram, MetricsSnapshot, Stopwatch, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -160,7 +161,7 @@ pub(crate) struct MemoEntry {
 /// (and its repair) touched.
 ///
 /// A memo is pinned to its `(evaluator fingerprint, buffer, options)`
-/// coordinates; [`Engine::score_delta`] silently falls back to the full
+/// coordinates; [`Engine::score_partition`] silently falls back to the full
 /// composition path when they do not match (e.g. after a DSE mutation
 /// changed the buffer), so a memo recorded under *different coordinates*
 /// can cost time but never correctness. Reuse of an individual term
@@ -170,8 +171,8 @@ pub(crate) struct MemoEntry {
 /// [`PartitionFingerprints`], the incremental state offspring
 /// fingerprints are refreshed from.
 ///
-/// The `dirty` flags handed to [`Engine::score_delta`], by contrast, are
-/// a **trusted input**: a subgraph wrongly marked clean would copy a
+/// The delta handed to [`Engine::score_partition`], by contrast, is a
+/// **trusted input**: a subgraph wrongly marked clean would copy a
 /// stale fingerprint and thereby a stale cached score. Every in-tree
 /// delta producer upholds the member-set invariant documented on
 /// [`PartitionDelta`](cocco_partition::PartitionDelta) (mutation
@@ -247,133 +248,30 @@ impl EvalMemo {
     }
 }
 
-/// Aggregate engine statistics of one exploration run.
-///
-/// Since the telemetry substrate landed, this type is a **compatibility
-/// snapshot**: the authoritative collection point is
-/// [`Engine::metrics`], which returns every counter under its
-/// dot-separated metric name (plus whatever live telemetry recorded),
-/// and [`Engine::stats`] is a fixed-field projection of that snapshot
-/// via [`EngineStats::from_metrics`]. Existing callers — reports,
-/// serialized `Exploration`s, tests — keep their stable shape.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct EngineStats {
-    /// Worker threads the engine resolved to.
-    pub threads: u32,
-    /// Partition-scoring requests served (cache hits + fresh evaluations).
-    pub evals: u64,
-    /// Requests answered from the partition roll-up cache.
-    pub cache_hits: u64,
-    /// Distinct cached partition roll-ups at snapshot time.
-    pub cache_entries: u64,
-    /// Partition roll-up entries evicted by generation sweeps.
-    pub cache_evictions: u64,
-    /// Full per-subgraph scorings: `eval_subgraph` terms computed fresh.
-    pub subgraph_scorings: u64,
-    /// Subgraph terms answered from the subgraph-level cache.
-    pub subgraph_hits: u64,
-    /// Subgraph terms copied straight from a caller's [`EvalMemo`] on the
-    /// delta path (no key built, no cache queried).
-    pub subgraph_reused: u64,
-    /// Distinct cached subgraph terms at snapshot time.
-    pub subgraph_entries: u64,
-    /// Subgraph term entries evicted by generation sweeps.
-    pub subgraph_evictions: u64,
-    /// Per-probe key-material heap allocations — 0 on the fingerprint
-    /// path; a regression tripwire asserted by the CI smoke benchmark.
-    pub key_allocs: u64,
-    /// Statistics misses that had to sort a copy of an out-of-order
-    /// member list (see `Evaluator::stats_canonicalize_fallbacks`) — 0 on
-    /// every production path, asserted by the CI smoke benchmark.
-    pub stats_canonicalize_fallbacks: u64,
-    /// The general hot-path allocation tripwire:
-    /// `key_allocs + stats_canonicalize_fallbacks` — every instrumented
-    /// way a warmed scoring dispatch could touch the allocator for
-    /// per-probe material. 0 on the arena path, asserted by the CI smoke
-    /// benchmark. (Values that *escape* the dispatch — memo entries,
-    /// fingerprints, cache inserts — are inherent and not counted.)
-    pub hot_allocs: u64,
-    /// Wall-clock milliseconds spent inside batch evaluation.
-    pub wall_ms: f64,
-}
-
-impl EngineStats {
-    /// Projects the fixed legacy fields out of a metrics snapshot (see
-    /// the type docs; inverse of [`Engine::metrics`]' absorption).
-    pub fn from_metrics(m: &MetricsSnapshot) -> Self {
-        Self {
-            threads: m.gauge("engine.threads") as u32,
-            evals: m.counter("engine.evals"),
-            cache_hits: m.counter("engine.cache.partition.hits"),
-            cache_entries: m.gauge("engine.cache.partition.entries"),
-            cache_evictions: m.counter("engine.cache.partition.evictions"),
-            subgraph_scorings: m.counter("engine.subgraph.scorings"),
-            subgraph_hits: m.counter("engine.cache.subgraph.hits"),
-            subgraph_reused: m.counter("engine.subgraph.reused"),
-            subgraph_entries: m.gauge("engine.cache.subgraph.entries"),
-            subgraph_evictions: m.counter("engine.cache.subgraph.evictions"),
-            key_allocs: m.counter("engine.key_allocs"),
-            stats_canonicalize_fallbacks: m.counter("engine.stats_canonicalize_fallbacks"),
-            hot_allocs: m.counter("engine.hot_allocs"),
-            wall_ms: m.gauge("engine.batch.wall_ns") as f64 / 1e6,
-        }
-    }
-
-    /// Fraction of partition-scoring requests served from the roll-up
-    /// cache.
-    pub fn hit_rate(&self) -> f64 {
-        if self.evals == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.evals as f64
-        }
-    }
-
-    /// Total subgraph-term requests (scorings + cache hits + memo reuses).
-    pub fn subgraph_requests(&self) -> u64 {
-        self.subgraph_scorings + self.subgraph_hits + self.subgraph_reused
-    }
-
-    /// Fraction of subgraph-term requests that avoided a full scoring
-    /// (cache hit or memo reuse).
-    pub fn subgraph_hit_rate(&self) -> f64 {
-        let requests = self.subgraph_requests();
-        if requests == 0 {
-            0.0
-        } else {
-            (self.subgraph_hits + self.subgraph_reused) as f64 / requests as f64
-        }
-    }
-
-    /// Total entries evicted across both cache levels.
-    pub fn evictions(&self) -> u64 {
-        self.cache_evictions + self.subgraph_evictions
-    }
-}
-
 /// The parallel, memoized evaluation engine.
 ///
 /// One engine is shared (via `Arc`) by every context derived from a search:
 /// the worker pool parallelizes batch evaluation, the two-level cache
 /// memoizes per-subgraph terms and whole-partition roll-ups across
-/// searchers, generations and two-step inner runs, and the statistics feed
-/// the exploration report.
+/// searchers, generations and two-step inner runs, and
+/// [`metrics`](Engine::metrics) feeds the exploration report.
 ///
 /// # Examples
 ///
 /// ```
 /// use cocco_engine::{Engine, EngineConfig};
-/// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, EvalOptions, Evaluator};
+/// use cocco_partition::Partition;
+/// use cocco_sim::{AcceleratorConfig, BufferConfig, EvalOptions, Evaluator};
 ///
 /// let g = cocco_graph::models::chain(4);
 /// let eval = Evaluator::new(&g, AcceleratorConfig::default());
 /// let engine = Engine::new(EngineConfig::serial());
-/// let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
+/// let whole = Partition::from_assignment(vec![0; g.len()]);
 /// let buffer = BufferConfig::shared(1 << 20);
-/// let a = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-/// let b = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+/// let (a, _) = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default(), None);
+/// let (b, _) = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default(), None);
 /// assert_eq!(a, b);
-/// assert_eq!(engine.stats().cache_hits, 1);
+/// assert_eq!(engine.metrics().counter("engine.cache.partition.hits"), 1);
 /// ```
 #[derive(Debug)]
 pub struct Engine {
@@ -389,7 +287,7 @@ pub struct Engine {
     /// High-water mark of any evaluator's canonicalize-fallback count
     /// observed by this engine (see
     /// `Evaluator::stats_canonicalize_fallbacks`); 0 in production,
-    /// folded into the `hot_allocs` tripwire.
+    /// exported as the `engine.hot_allocs` tripwire.
     stats_fallbacks: AtomicU64,
     /// Probes answered by a worker-local L0 cache (`engine.cache.l0_hits`;
     /// both partition and subgraph levels). Engine-local — never a
@@ -402,8 +300,7 @@ pub struct Engine {
     /// (`engine.pool.dispatched`).
     dispatched: AtomicU64,
     /// Dispatch units (`engine.pool.chunks`): the index claims a batch was
-    /// split into, each covering
-    /// [`EngineConfig::resolved_chunk`] consecutive jobs.
+    /// split into, each covering [`chunk_len`] consecutive jobs.
     chunks: AtomicU64,
     /// Batches the pool ran on the caller's thread — a batch of one
     /// dispatch unit, or any batch of a one-worker engine
@@ -461,11 +358,12 @@ impl Engine {
     /// events. All of it is observation-only — scores, cache contents
     /// and scheduling are bit-identical to an uninstrumented engine.
     pub fn with_telemetry(config: EngineConfig, telemetry: Telemetry) -> Self {
+        let pool = EnginePool::with_telemetry(&config, &telemetry);
         Self {
             config,
-            pool: EnginePool::with_telemetry(&config, &telemetry),
             cache: EvalCache::with_capacity_telemetry(config.cache_capacity, telemetry.clone()),
-            scratch: ScratchPool::new(config.resolved_threads() + 1),
+            scratch: ScratchPool::new(pool.threads() + 1),
+            pool,
             wall_nanos: AtomicU64::new(0),
             reused: AtomicU64::new(0),
             stats_fallbacks: AtomicU64::new(0),
@@ -503,105 +401,28 @@ impl Engine {
         &self.cache
     }
 
-    /// Scores an ordered partition under `buffer`/`options`, memoized.
+    /// Scores an ordered partition under `buffer`/`options`, memoized,
+    /// and returns the per-subgraph [`EvalMemo`] with the score. The
+    /// partition's member lists are materialized into this call's scratch
+    /// slot as a flat [`PartitionLayout`] built without per-candidate
+    /// allocations.
     ///
-    /// Evaluator errors are folded into the result (`error = true`, so
-    /// [`ScoredEval::cost`] is infinite) and memoized like any other
-    /// evaluation — re-scoring a broken configuration is as cheap and as
-    /// deterministic as re-scoring a good one.
-    pub fn score(
-        &self,
-        evaluator: &Evaluator<'_>,
-        subgraphs: &[Vec<NodeId>],
-        buffer: &BufferConfig,
-        options: EvalOptions,
-    ) -> ScoredEval {
-        self.score_composed(evaluator, subgraphs, buffer, options).0
-    }
-
-    /// Like [`score`](Self::score), but also returns the per-subgraph
-    /// [`EvalMemo`]. Roll-up cache hits hand back the memo stored with the
-    /// entry, so even a genome whose score came straight from the cache
-    /// seeds its offspring's incremental hints (`None` only for entries
-    /// restored from a snapshot or evaluator errors).
-    pub fn score_composed(
-        &self,
-        evaluator: &Evaluator<'_>,
-        subgraphs: &[Vec<NodeId>],
-        buffer: &BufferConfig,
-        options: EvalOptions,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        self.scratch.with_slot(|arena| {
-            self.score_inner(
-                evaluator,
-                subgraphs,
-                buffer,
-                options,
-                None,
-                &mut arena.compose,
-                &mut arena.l0,
-                Publish::Immediate,
-            )
-        })
-    }
-
-    /// Scores a partition that differs from a previously scored one (whose
-    /// breakdown is `memo`) only in the subgraphs flagged by `dirty`
-    /// (aligned with `subgraphs`; a flag per execution position).
-    ///
-    /// Clean subgraphs reuse their memoized term directly — provided the
-    /// recorded `next_wgt` still matches the new successor, which the
-    /// engine verifies itself — so the evaluator-facing work is
-    /// `O(|dirty|)` instead of `O(|partition|)`, and only dirty subgraphs
-    /// are re-fingerprinted for the cache keys. Falls back to the full
-    /// composition path (bit-identical results) when the memo's
-    /// coordinates do not match or `dirty` is misaligned.
-    ///
-    /// `dirty` must satisfy the member-set invariant documented on
-    /// [`PartitionDelta`](cocco_partition::PartitionDelta): a subgraph
-    /// containing no dirty node must have exactly the member set it had in
-    /// the memo's partition (debug builds assert this).
-    pub fn score_delta(
-        &self,
-        evaluator: &Evaluator<'_>,
-        subgraphs: &[Vec<NodeId>],
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        memo: &EvalMemo,
-        dirty: &[bool],
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        let reuse = (dirty.len() == subgraphs.len()
-            && memo.matches(evaluator.fingerprint(), buffer, options))
-        .then_some((memo, dirty));
-        self.scratch.with_slot(|arena| {
-            self.score_inner(
-                evaluator,
-                subgraphs,
-                buffer,
-                options,
-                reuse,
-                &mut arena.compose,
-                &mut arena.l0,
-                Publish::Immediate,
-            )
-        })
-    }
-
-    /// Scores a [`Partition`] directly, materializing its member lists
-    /// into this call's scratch slot as a flat
-    /// [`PartitionLayout`](cocco_partition::PartitionLayout) built without
-    /// per-candidate allocations. The layout feeds the same
-    /// fingerprinting, cache probing and composition fold as the nested
-    /// `&[Vec<NodeId>]` entry points through [`SubgraphsView`], so
-    /// `score_partition(p)` is bit-identical to
-    /// `score_composed(&p.subgraphs())`.
+    /// Evaluator errors (including a partition with no subgraphs) are
+    /// folded into the result (`error = true`, so [`ScoredEval::cost`] is
+    /// infinite) and memoized like any other evaluation. Roll-up cache
+    /// hits hand back the memo stored with the entry, so even a genome
+    /// whose score came straight from the cache seeds its offspring's
+    /// incremental hints (`None` only for entries restored from a
+    /// snapshot or evaluator errors).
     ///
     /// `hint` carries the parent's memo plus the [`PartitionDelta`]
     /// recorded by mutation/repair; when it is usable (delta not
     /// all-dirty, matching memo coordinates and node count) the call takes
-    /// the delta path — clean subgraphs reuse their
-    /// memoized terms — otherwise it composes from the caches like
-    /// [`score_composed`](Self::score_composed).
+    /// the delta path — clean subgraphs reuse their memoized terms,
+    /// provided the recorded `next_wgt` still matches the new successor —
+    /// otherwise it composes from the caches. Both paths are
+    /// bit-identical. The delta must satisfy the member-set invariant
+    /// documented on [`PartitionDelta`] (debug builds assert it).
     pub fn score_partition(
         &self,
         evaluator: &Evaluator<'_>,
@@ -686,15 +507,11 @@ impl Engine {
     /// Projects node-level delta dirt onto per-subgraph flags in view
     /// order — the same flags `PartitionDelta::dirty_subgraphs` produces,
     /// written into reusable scratch instead of a fresh vector.
-    fn project_dirty<S: SubgraphsView + ?Sized>(
-        view: &S,
-        delta: &PartitionDelta,
-        out: &mut Vec<bool>,
-    ) {
+    fn project_dirty(view: &PartitionLayout<'_>, delta: &PartitionDelta, out: &mut Vec<bool>) {
         out.clear();
         out.extend(
-            (0..view.num_subgraphs())
-                .map(|i| view.members_of(i).iter().any(|&m| delta.is_dirty(m))),
+            view.iter()
+                .map(|members| members.iter().any(|&m| delta.is_dirty(m))),
         );
     }
 
@@ -819,10 +636,10 @@ impl Engine {
     /// miss, composes the score from per-subgraph terms and publishes it
     /// per `publish`.
     #[allow(clippy::too_many_arguments)]
-    fn score_inner<S: SubgraphsView + ?Sized>(
+    fn score_inner(
         &self,
         evaluator: &Evaluator<'_>,
-        subgraphs: &S,
+        subgraphs: &PartitionLayout<'_>,
         buffer: &BufferConfig,
         options: EvalOptions,
         reuse: Option<(&EvalMemo, &[bool])>,
@@ -891,10 +708,10 @@ impl Engine {
     /// everything else. The fold runs in execution order, so the sums are
     /// bit-identical to `Evaluator::eval_partition`.
     #[allow(clippy::too_many_arguments)]
-    fn compose<S: SubgraphsView + ?Sized>(
+    fn compose(
         &self,
         evaluator: &Evaluator<'_>,
-        subgraphs: &S,
+        subgraphs: &PartitionLayout<'_>,
         fps: PartitionFingerprints,
         buffer: &BufferConfig,
         options: EvalOptions,
@@ -903,7 +720,9 @@ impl Engine {
         l0: &mut L0Cache,
         publish: Publish,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        if subgraphs.no_subgraphs() || subgraphs.any_empty() {
+        // A layout built from a `Partition` never holds an empty subgraph;
+        // an empty partition is the one structural error left.
+        if subgraphs.num_subgraphs() == 0 {
             return (ScoredEval::errored(buffer), None);
         }
         let n = subgraphs.num_subgraphs();
@@ -924,8 +743,7 @@ impl Engine {
             match scratch.entries[i] {
                 Some(entry) => scratch.wgts.push(entry.wgt_bytes),
                 None => {
-                    match evaluator
-                        .subgraph_stats_keyed(fps.positions()[i], subgraphs.members_of(i))
+                    match evaluator.subgraph_stats_keyed(fps.positions()[i], subgraphs.subgraph(i))
                     {
                         Ok(stats) => {
                             scratch.wgts.push(stats.ema_wgt_bytes);
@@ -965,10 +783,9 @@ impl Engine {
                                 // A clean entry whose next_wgt changed: its
                                 // statistics were computed before, so this
                                 // is an evaluator-cache hit.
-                                None => match evaluator.subgraph_stats_keyed(
-                                    fps.positions()[i],
-                                    subgraphs.members_of(i),
-                                ) {
+                                None => match evaluator
+                                    .subgraph_stats_keyed(fps.positions()[i], subgraphs.subgraph(i))
+                                {
                                     Ok(stats) => stats,
                                     Err(_) => return (ScoredEval::errored(buffer), None),
                                 },
@@ -1002,23 +819,22 @@ impl Engine {
     }
 
     /// Runs `job(i)` for every `i` in `0..jobs` on the worker pool,
-    /// timing the batch: the elapsed wall time accumulates into
-    /// [`EngineStats::wall_ms`], and — when telemetry is enabled — also
+    /// timing the batch: the elapsed wall time accumulates into the
+    /// `engine.batch.wall_ns` gauge, and — when telemetry is enabled — also
     /// lands in the `engine.batch.latency_ns` histogram plus an
     /// `engine.batch` event. This is the one timed dispatch path; search
     /// code calls this instead of timing `pool().run` itself, which is
     /// what lets the audit confine wall-clock reads to `cocco-telemetry`.
     ///
-    /// Jobs are claimed in units of
-    /// [`EngineConfig::resolved_chunk`] consecutive indices; within a unit
-    /// they run in index order, so a one-worker engine runs the whole
-    /// batch in index order on the caller.
+    /// Jobs are claimed in units of [`chunk_len`] consecutive indices;
+    /// within a unit they run in index order, so a one-worker engine runs
+    /// the whole batch in index order on the caller.
     pub fn dispatch(&self, jobs: usize, job: impl Fn(usize) + Sync) {
         // Scratch growth across the batch (dispatch boundaries are
         // quiescent, so the slot sum is exact); warmed batches record 0.
         let bytes_before = self.alloc_bytes.as_ref().map(|_| self.scratch.bytes());
         let sw = Stopwatch::start();
-        let chunk = self.config.resolved_chunk(jobs);
+        let chunk = chunk_len(jobs, self.pool.threads());
         let units = jobs.div_ceil(chunk);
         self.dispatched.fetch_add(jobs as u64, Ordering::Relaxed);
         self.chunks.fetch_add(units as u64, Ordering::Relaxed);
@@ -1094,8 +910,7 @@ impl Engine {
     /// recorded (batch/queue histograms, sweep events' counters) plus
     /// the engine's own counters absorbed under their metric names —
     /// `engine.evals`, `engine.cache.{partition,subgraph}.*`,
-    /// `engine.subgraph.*`, `engine.key_allocs`,
-    /// `engine.stats_canonicalize_fallbacks`, `engine.hot_allocs`,
+    /// `engine.subgraph.*`, `engine.hot_allocs`,
     /// `engine.arena.{bytes,reuses,grows}`, `engine.threads`,
     /// `engine.batch.wall_ns`. Works with telemetry disabled (the
     /// absorbed names are always present).
@@ -1127,10 +942,10 @@ impl Engine {
             "engine.subgraph.reused",
             self.reused.load(Ordering::Relaxed),
         );
-        m.set_counter("engine.key_allocs", self.cache.key_allocs());
-        let fallbacks = self.stats_fallbacks.load(Ordering::Relaxed);
-        m.set_counter("engine.stats_canonicalize_fallbacks", fallbacks);
-        m.set_counter("engine.hot_allocs", self.cache.key_allocs() + fallbacks);
+        m.set_counter(
+            "engine.hot_allocs",
+            self.stats_fallbacks.load(Ordering::Relaxed),
+        );
         m.set_gauge("engine.arena.bytes", self.scratch.bytes());
         m.set_counter("engine.arena.reuses", self.scratch.reuses());
         m.set_counter("engine.arena.grows", self.scratch.grows());
@@ -1154,12 +969,15 @@ impl Engine {
         );
         m
     }
+}
 
-    /// A snapshot of the engine statistics — the legacy fixed-field view
-    /// of [`metrics`](Self::metrics).
-    pub fn stats(&self) -> EngineStats {
-        EngineStats::from_metrics(&self.metrics())
-    }
+/// Jobs per pool claim for a batch of `jobs` on `threads` workers:
+/// `ceil(jobs / (threads * 4))`, at least 1. Four claims per worker keep
+/// the tail balanced while one claim covers several jobs. Claims never
+/// reorder results — jobs within a claim run in index order and the
+/// caller stores results per index.
+fn chunk_len(jobs: usize, threads: usize) -> usize {
+    jobs.div_ceil(threads * 4).max(1)
 }
 
 // The whole point of the engine is cross-thread sharing; fail the build if
@@ -1173,17 +991,34 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cocco_graph::NodeId;
     use cocco_sim::AcceleratorConfig;
+
+    /// Scores `p` with no hint under default options.
+    fn score(
+        engine: &Engine,
+        eval: &Evaluator<'_>,
+        p: &Partition,
+        buffer: &BufferConfig,
+    ) -> ScoredEval {
+        engine
+            .score_partition(eval, p, buffer, EvalOptions::default(), None)
+            .0
+    }
+
+    fn repaired_depth_groups(g: &cocco_graph::Graph, l: usize) -> Partition {
+        cocco_partition::repair(g, Partition::depth_groups(g, l), &|_| true)
+    }
 
     #[test]
     fn try_dispatch_catches_panics_and_leaves_the_engine_usable() {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let buffer = BufferConfig::shared(1 << 20);
-        let subgraphs: Vec<Vec<NodeId>> = g.node_ids().map(|id| vec![id]).collect();
+        let p = Partition::singletons(g.len());
         for config in [EngineConfig::serial(), EngineConfig::with_threads(2)] {
             let engine = Engine::new(config);
-            let baseline = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+            let baseline = score(&engine, &eval, &p, &buffer);
             let err = engine
                 .try_dispatch(4, |i| {
                     if i == 2 {
@@ -1194,8 +1029,7 @@ mod tests {
             assert!(err.message.contains("injected worker panic"), "{err}");
             // The engine survives: same pool, same cache, same results.
             engine.try_dispatch(4, |_| {}).expect("pool stays usable");
-            let again = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-            assert_eq!(again, baseline);
+            assert_eq!(score(&engine, &eval, &p, &buffer), baseline);
         }
     }
 
@@ -1204,11 +1038,11 @@ mod tests {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
-        let subgraphs: Vec<Vec<NodeId>> = g.node_ids().map(|id| vec![id]).collect();
+        let p = Partition::singletons(g.len());
         let buffer = BufferConfig::shared(1 << 20);
-        let scored = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+        let scored = score(&engine, &eval, &p, &buffer);
         let report = eval
-            .eval_partition(&subgraphs, &buffer, EvalOptions::default())
+            .eval_partition(&p.subgraphs(), &buffer, EvalOptions::default())
             .unwrap();
         assert_eq!(scored.ema_bytes, report.ema_bytes);
         assert_eq!(scored.energy_pj, report.energy_pj);
@@ -1225,69 +1059,38 @@ mod tests {
 
     #[test]
     fn incremental_and_full_paths_are_bit_identical() {
-        // The composed (per-subgraph, cached) score of every view equals
-        // the whole-partition evaluator — the oracle — bit for bit.
+        // The composed (per-subgraph, cached) score equals the
+        // whole-partition evaluator — the oracle — bit for bit, on the
+        // cold compose and on the cache hit, and re-scoring changes
+        // nothing the shared cache (or its snapshot) holds.
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
+        let once = Engine::new(EngineConfig::serial());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
         for l in [1usize, 3, 7] {
-            let p = cocco_partition::repair(
-                &g,
-                cocco_partition::Partition::depth_groups(&g, l),
-                &|_| true,
+            let p = repaired_depth_groups(&g, l);
+            let full = eval
+                .eval_partition(&p.subgraphs(), &buffer, options)
+                .unwrap();
+            let (cold, cold_memo) = engine.score_partition(&eval, &p, &buffer, options, None);
+            assert_eq!(cold.ema_bytes, full.ema_bytes, "L={l}");
+            assert_eq!(cold.energy_pj.to_bits(), full.energy_pj.to_bits(), "L={l}");
+            assert_eq!(cold.fits, full.fits, "L={l}");
+            assert!(cold_memo.is_some(), "L={l}");
+            let hits = engine.metrics().counter("engine.cache.partition.hits");
+            let (hit, hit_memo) = engine.score_partition(&eval, &p, &buffer, options, None);
+            assert_eq!(hit, cold, "L={l}");
+            assert!(hit_memo.is_some(), "L={l}: hits hand back the memo");
+            assert_eq!(
+                engine.metrics().counter("engine.cache.partition.hits"),
+                hits + 1
             );
-            let subgraphs = p.subgraphs();
-            let full = eval.eval_partition(&subgraphs, &buffer, options).unwrap();
-            let (composed, _) = Engine::new(EngineConfig::serial())
-                .score_partition(&eval, &p, &buffer, options, None);
-            for scored in [engine.score(&eval, &subgraphs, &buffer, options), composed] {
-                assert_eq!(scored.ema_bytes, full.ema_bytes, "L={l}");
-                assert_eq!(
-                    scored.energy_pj.to_bits(),
-                    full.energy_pj.to_bits(),
-                    "L={l}"
-                );
-                assert_eq!(scored.fits, full.fits, "L={l}");
-            }
+            once.score_partition(&eval, &p, &buffer, options, None);
         }
-        assert!(engine.stats().subgraph_scorings > 0);
-    }
-
-    #[test]
-    fn score_delta_reuses_untouched_terms() {
-        let g = cocco_graph::models::chain(7); // 8 nodes, one path
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let engine = Engine::new(EngineConfig::serial());
-        let buffer = BufferConfig::shared(1 << 20);
-        let options = EvalOptions::default();
-        // Pairs: {0,1} {2,3} {4,5} {6,7}.
-        let ids: Vec<NodeId> = g.node_ids().collect();
-        let base: Vec<Vec<NodeId>> = ids.chunks(2).map(|c| c.to_vec()).collect();
-        let (scored, memo) = engine.score_composed(&eval, &base, &buffer, options);
-        let memo = memo.expect("composed this call");
-        assert_eq!(memo.len(), 4);
-        assert!(!scored.error);
-
-        // Mutate the last subgraph only: split {6,7} into {6} {7}.
-        let mut mutated = base[..3].to_vec();
-        mutated.push(vec![ids[6]]);
-        mutated.push(vec![ids[7]]);
-        let dirty = [false, false, false, true, true];
-        let before = engine.stats();
-        let (inc, new_memo) = engine.score_delta(&eval, &mutated, &buffer, options, &memo, &dirty);
-        let after = engine.stats();
-        assert!(new_memo.is_some());
-        // Subgraphs 0 and 1 reuse their terms; subgraph 2's next_wgt
-        // changed ({6,7} -> {6}), so it re-scores along with the two dirty
-        // ones.
-        assert_eq!(after.subgraph_reused - before.subgraph_reused, 2);
-        let direct = eval.eval_partition(&mutated, &buffer, options).unwrap();
-        assert_eq!(inc.ema_bytes, direct.ema_bytes);
-        assert_eq!(inc.energy_pj, direct.energy_pj);
-        assert_eq!(inc.fits, direct.fits);
-        assert_eq!(after.key_allocs, 0, "the delta path must not build keys");
+        assert!(engine.metrics().counter("engine.subgraph.scorings") > 0);
+        assert_eq!(engine.cache().snapshot(), once.cache().snapshot());
     }
 
     #[test]
@@ -1295,18 +1098,18 @@ mod tests {
         let g = cocco_graph::models::chain(3);
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
-        let subgraphs: Vec<Vec<NodeId>> = g.node_ids().map(|id| vec![id]).collect();
+        let p = Partition::singletons(g.len());
         let small = BufferConfig::shared(1 << 20);
         let big = BufferConfig::shared(2 << 20);
         let options = EvalOptions::default();
-        let (_, memo) = engine.score_composed(&eval, &subgraphs, &small, options);
+        let (_, memo) = engine.score_partition(&eval, &p, &small, options, None);
         let memo = memo.unwrap();
-        let dirty = vec![false; subgraphs.len()];
+        let clean = PartitionDelta::clean(g.len());
         // Different buffer: the memo must not be trusted.
-        let (scored, _) = engine.score_delta(&eval, &subgraphs, &big, options, &memo, &dirty);
-        let direct = eval.eval_partition(&subgraphs, &big, options).unwrap();
+        let (scored, _) = engine.score_partition(&eval, &p, &big, options, Some((&memo, &clean)));
+        let direct = eval.eval_partition(&p.subgraphs(), &big, options).unwrap();
         assert_eq!(scored.energy_pj, direct.energy_pj);
-        assert_eq!(engine.stats().subgraph_reused, 0);
+        assert_eq!(engine.metrics().counter("engine.subgraph.reused"), 0);
     }
 
     #[test]
@@ -1319,18 +1122,18 @@ mod tests {
         let engine = Engine::new(EngineConfig::serial());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
-        let ids: Vec<NodeId> = g.node_ids().collect();
-        let parts: Vec<Vec<NodeId>> = ids.chunks(2).map(|c| c.to_vec()).collect();
-        let (first, first_memo) = engine.score_composed(&eval, &parts, &buffer, options);
+        let pairs = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2]);
+        let (first, first_memo) = engine.score_partition(&eval, &pairs, &buffer, options, None);
         assert!(first_memo.is_some());
-        let (second, second_memo) = engine.score_composed(&eval, &parts, &buffer, options);
+        let (second, second_memo) = engine.score_partition(&eval, &pairs, &buffer, options, None);
         assert_eq!(first, second);
-        assert_eq!(engine.stats().cache_hits, 1);
+        assert_eq!(engine.metrics().counter("engine.cache.partition.hits"), 1);
         let memo = second_memo.expect("roll-up hit must hand back the stored memo");
-        assert_eq!(memo.len(), parts.len());
+        assert_eq!(memo.len(), pairs.num_subgraphs());
         // And the handed-back memo drives a working delta path.
-        let dirty = vec![false; parts.len()];
-        let (third, _) = engine.score_delta(&eval, &parts, &buffer, options, &memo, &dirty);
+        let clean = PartitionDelta::clean(g.len());
+        let (third, _) =
+            engine.score_partition(&eval, &pairs, &buffer, options, Some((&memo, &clean)));
         assert_eq!(third, first);
     }
 
@@ -1342,15 +1145,10 @@ mod tests {
         let members: Vec<NodeId> = g.node_ids().collect();
         let buffer = BufferConfig::shared(1 << 20);
         let single = engine.score_single(&eval, &members, &buffer, EvalOptions::default());
-        let via_partition = engine.score(
-            &eval,
-            std::slice::from_ref(&members),
-            &buffer,
-            EvalOptions::default(),
-        );
+        let via_partition = score(&engine, &eval, &Partition::whole(g.len()), &buffer);
         assert_eq!(single, via_partition);
         // And the second route reused the first's cached term.
-        assert_eq!(engine.stats().subgraph_hits, 1);
+        assert_eq!(engine.metrics().counter("engine.cache.subgraph.hits"), 1);
         assert!(
             engine
                 .score_single(&eval, &[], &buffer, EvalOptions::default())
@@ -1363,16 +1161,15 @@ mod tests {
         let g = cocco_graph::models::chain(2);
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
-        // Empty subgraph: a structural evaluator error.
-        let broken: Vec<Vec<NodeId>> = vec![Vec::new()];
+        // No subgraphs at all: a structural evaluator error.
+        let broken = Partition::from_assignment(vec![]);
         let buffer = BufferConfig::shared(1 << 20);
-        let scored = engine.score(&eval, &broken, &buffer, EvalOptions::default());
+        let scored = score(&engine, &eval, &broken, &buffer);
         assert!(scored.error);
         assert!(scored.cost(CostMetric::Ema, None).is_infinite());
         assert!(scored.metric(CostMetric::Ema).is_infinite());
-        let again = engine.score(&eval, &broken, &buffer, EvalOptions::default());
-        assert_eq!(scored, again);
-        assert_eq!(engine.stats().cache_hits, 1);
+        assert_eq!(score(&engine, &eval, &broken, &buffer), scored);
+        assert_eq!(engine.metrics().counter("engine.cache.partition.hits"), 1);
     }
 
     #[test]
@@ -1380,23 +1177,25 @@ mod tests {
         let g = cocco_graph::models::chain(3);
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::with_threads(2));
-        let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
+        let p = Partition::whole(g.len());
         let buffer = BufferConfig::shared(1 << 20);
-        engine.dispatch(3, |_| {
-            engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+        // Warm the cache first: two jobs that missed concurrently would
+        // both compose, so only a warmed batch has exact hit counts.
+        score(&engine, &eval, &p, &buffer);
+        engine.dispatch(2, |_| {
+            score(&engine, &eval, &p, &buffer);
         });
-        let stats = engine.stats();
-        assert_eq!(stats.threads, 2);
-        assert_eq!(stats.evals, 3);
-        assert_eq!(stats.cache_hits, 2);
-        assert_eq!(stats.cache_entries, 1);
-        assert_eq!(stats.subgraph_scorings, 1);
-        assert_eq!(stats.subgraph_entries, 1);
-        assert_eq!(stats.cache_evictions, 0);
-        assert_eq!(stats.subgraph_evictions, 0);
-        assert_eq!(stats.key_allocs, 0);
-        assert!(stats.wall_ms > 0.0);
-        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        let m = engine.metrics();
+        assert_eq!(m.gauge("engine.threads"), 2);
+        assert_eq!(m.counter("engine.evals"), 3);
+        assert_eq!(m.counter("engine.cache.partition.hits"), 2);
+        assert_eq!(m.gauge("engine.cache.partition.entries"), 1);
+        assert_eq!(m.counter("engine.subgraph.scorings"), 1);
+        assert_eq!(m.gauge("engine.cache.subgraph.entries"), 1);
+        assert_eq!(m.counter("engine.cache.partition.evictions"), 0);
+        assert_eq!(m.counter("engine.cache.subgraph.evictions"), 0);
+        assert_eq!(m.counter("engine.hot_allocs"), 0);
+        assert!(m.gauge("engine.batch.wall_ns") > 0);
     }
 
     #[test]
@@ -1410,24 +1209,21 @@ mod tests {
         let unbounded = Engine::new(EngineConfig::serial());
         let buffer = BufferConfig::shared(1 << 20);
         for l in 1..=12usize {
-            let p = cocco_partition::repair(
-                &g,
-                cocco_partition::Partition::depth_groups(&g, l),
-                &|_| true,
-            );
-            let subgraphs = p.subgraphs();
-            let a = bounded.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-            let b = unbounded.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+            let p = repaired_depth_groups(&g, l);
+            let a = score(&bounded, &eval, &p, &buffer);
+            let b = score(&unbounded, &eval, &p, &buffer);
             assert_eq!(a, b, "L={l}");
         }
-        let stats = bounded.stats();
+        let m = bounded.metrics();
+        let roll_ups = m.gauge("engine.cache.partition.entries");
+        let terms = m.gauge("engine.cache.subgraph.entries");
         assert!(
-            stats.subgraph_entries + stats.cache_entries <= 64,
-            "entry budget exceeded: {} roll-ups + {} terms",
-            stats.cache_entries,
-            stats.subgraph_entries
+            roll_ups + terms <= 64,
+            "entry budget exceeded: {roll_ups} roll-ups + {terms} terms"
         );
-        assert!(stats.evictions() > 0, "the tiny budget must have evicted");
+        let evictions = m.counter("engine.cache.partition.evictions")
+            + m.counter("engine.cache.subgraph.evictions");
+        assert!(evictions > 0, "the tiny budget must have evicted");
     }
 
     #[test]
@@ -1442,23 +1238,27 @@ mod tests {
         let engine = Engine::new(EngineConfig::serial());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
-        let chain_parts = vec![chain.node_ids().collect::<Vec<_>>()];
-        // diamond has 5 nodes; take its first 5-node whole partition too.
-        let diamond_parts = vec![diamond.node_ids().collect::<Vec<_>>()];
-        let via_engine_chain = engine.score(&chain_eval, &chain_parts, &buffer, options);
-        let via_engine_diamond = engine.score(&diamond_eval, &diamond_parts, &buffer, options);
+        let chain_whole = Partition::whole(chain.len());
+        let diamond_whole = Partition::whole(diamond.len());
+        let via_engine_chain = score(&engine, &chain_eval, &chain_whole, &buffer);
+        let via_engine_diamond = score(&engine, &diamond_eval, &diamond_whole, &buffer);
         let direct_chain = chain_eval
-            .eval_partition(&chain_parts, &buffer, options)
+            .eval_partition(&chain_whole.subgraphs(), &buffer, options)
             .unwrap();
         let direct_diamond = diamond_eval
-            .eval_partition(&diamond_parts, &buffer, options)
+            .eval_partition(&diamond_whole.subgraphs(), &buffer, options)
             .unwrap();
         assert_eq!(via_engine_chain.ema_bytes, direct_chain.ema_bytes);
         assert_eq!(via_engine_diamond.ema_bytes, direct_diamond.ema_bytes);
         assert_ne!(chain_eval.fingerprint(), diamond_eval.fingerprint());
-        assert_eq!(engine.stats().cache_hits, 0, "distinct keys, no false hits");
+        let m = engine.metrics();
+        assert_eq!(
+            m.counter("engine.cache.partition.hits"),
+            0,
+            "distinct keys, no false hits"
+        );
         assert_eq!(engine.cache().partition_entries(), 2);
-        assert_eq!(engine.stats().subgraph_hits, 0);
+        assert_eq!(m.counter("engine.cache.subgraph.hits"), 0);
     }
 
     #[test]
@@ -1467,23 +1267,19 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let telemetry = Telemetry::enabled();
         let engine = Engine::with_telemetry(EngineConfig::serial(), telemetry.clone());
-        let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
+        let p = Partition::whole(g.len());
         let buffer = BufferConfig::shared(1 << 20);
         engine.dispatch(2, |_| {
-            engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+            score(&engine, &eval, &p, &buffer);
         });
         let m = engine.metrics();
-        // The compatibility snapshot and the absorbed names agree.
-        let stats = engine.stats();
-        assert_eq!(stats, EngineStats::from_metrics(&m));
-        assert_eq!(m.counter("engine.evals"), stats.evals);
-        assert_eq!(m.counter("engine.cache.partition.hits"), stats.cache_hits);
-        assert_eq!(
-            m.gauge("engine.cache.subgraph.entries"),
-            stats.subgraph_entries
-        );
-        // The dispatch was timed into both wall_ms and the histogram.
-        assert!(stats.wall_ms > 0.0);
+        // The engine's own counters are absorbed under their names.
+        assert_eq!(m.counter("engine.evals"), 2);
+        assert_eq!(m.counter("engine.cache.partition.hits"), 1);
+        assert_eq!(m.gauge("engine.cache.subgraph.entries"), 1);
+        // The dispatch was timed into both the wall gauge and the
+        // histogram.
+        assert!(m.gauge("engine.batch.wall_ns") > 0);
         let hist = m.histogram("engine.batch.latency_ns").expect("registered");
         assert_eq!(hist.count, 1);
         // And the batch event fired.
@@ -1497,23 +1293,19 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
         assert!(!engine.telemetry().is_enabled());
-        let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
+        let p = Partition::whole(g.len());
         let buffer = BufferConfig::shared(1 << 20);
         engine.dispatch(1, |_| {
-            engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+            score(&engine, &eval, &p, &buffer);
         });
-        let stats = engine.stats();
-        assert_eq!(stats.evals, 1);
+        let m = engine.metrics();
+        assert_eq!(m.counter("engine.evals"), 1);
         assert!(
-            stats.wall_ms > 0.0,
+            m.gauge("engine.batch.wall_ns") > 0,
             "dispatch timing works without telemetry"
         );
-        assert!(engine
-            .metrics()
-            .histogram("engine.batch.latency_ns")
-            .is_none());
+        assert!(m.histogram("engine.batch.latency_ns").is_none());
     }
-
     #[test]
     fn cached_leaf_probes_record_no_telemetry() {
         // The zero-perturbation contract on the hot leaf: a cached
@@ -1537,41 +1329,6 @@ mod tests {
     }
 
     #[test]
-    fn score_partition_arms_are_bit_identical() {
-        // The flat layout view (`score_partition`) and the nested slice
-        // view (`score_composed` of `subgraphs()`) agree on the cold
-        // compose, on the cache hit, and with the evaluator oracle.
-        let g = cocco_graph::models::googlenet();
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let buffer = BufferConfig::shared(1 << 20);
-        let options = EvalOptions::default();
-        let flat = Engine::new(EngineConfig::serial());
-        let nested = Engine::new(EngineConfig::serial());
-        for l in [1usize, 3, 7] {
-            let p = cocco_partition::repair(
-                &g,
-                cocco_partition::Partition::depth_groups(&g, l),
-                &|_| true,
-            );
-            let subgraphs = p.subgraphs();
-            let (a, memo_a) = flat.score_partition(&eval, &p, &buffer, options, None);
-            let (b, memo_b) = nested.score_composed(&eval, &subgraphs, &buffer, options);
-            assert_eq!(a, b, "L={l}");
-            assert_eq!(memo_a.is_some(), memo_b.is_some());
-            let full = eval.eval_partition(&subgraphs, &buffer, options).unwrap();
-            assert_eq!(a.energy_pj.to_bits(), full.energy_pj.to_bits(), "L={l}");
-            // Cache-keyed identity across entry points: each engine hits
-            // the other view's entry.
-            assert_eq!(flat.score(&eval, &subgraphs, &buffer, options), a);
-            assert_eq!(
-                nested.score_partition(&eval, &p, &buffer, options, None).0,
-                b
-            );
-        }
-        assert_eq!(flat.cache().snapshot(), nested.cache().snapshot());
-    }
-
-    #[test]
     fn score_partition_delta_hint_reuses_terms() {
         let g = cocco_graph::models::chain(7);
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
@@ -1580,25 +1337,32 @@ mod tests {
         let options = EvalOptions::default();
         let ids: Vec<NodeId> = g.node_ids().collect();
         // Pairs {0,1} {2,3} {4,5} {6,7} as a partition assignment.
-        let p = cocco_partition::Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3, 3]);
+        let p = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3, 3]);
         let (scored, memo) = engine.score_partition(&eval, &p, &buffer, options, None);
         let memo = memo.expect("composed this call");
         assert!(!scored.error);
         // Split the last pair; mark exactly its members dirty.
-        let mutated = cocco_partition::Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3, 4]);
+        let mutated = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3, 4]);
         let mut delta = PartitionDelta::clean(8);
         delta.touch_members(&[ids[6], ids[7]]);
-        let before = engine.stats();
+        let before = engine.metrics().counter("engine.subgraph.reused");
         let (inc, _) =
             engine.score_partition(&eval, &mutated, &buffer, options, Some((&memo, &delta)));
-        let after = engine.stats();
-        assert_eq!(after.subgraph_reused - before.subgraph_reused, 2);
+        let after = engine.metrics();
+        // Subgraphs 0 and 1 reuse their terms; subgraph 2's next_wgt
+        // changed ({6,7} -> {6}), so it re-scores along with the two dirty
+        // ones.
+        assert_eq!(after.counter("engine.subgraph.reused") - before, 2);
         let direct = eval
             .eval_partition(&mutated.subgraphs(), &buffer, options)
             .unwrap();
         assert_eq!(inc.ema_bytes, direct.ema_bytes);
         assert_eq!(inc.energy_pj, direct.energy_pj);
-        assert_eq!(after.hot_allocs, 0, "arena delta path must stay clean");
+        assert_eq!(
+            after.counter("engine.hot_allocs"),
+            0,
+            "arena delta path must stay clean"
+        );
     }
 
     #[test]
@@ -1607,10 +1371,7 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
         let buffer = BufferConfig::shared(1 << 20);
-        let p =
-            cocco_partition::repair(&g, cocco_partition::Partition::depth_groups(&g, 3), &|_| {
-                true
-            });
+        let p = repaired_depth_groups(&g, 3);
         // Distinct options defeat the partition cache so every call
         // rebuilds the layout into the warmed arena.
         for batch in 1..=8u32 {
@@ -1625,10 +1386,6 @@ mod tests {
             m.counter("engine.arena.grows")
         );
         assert_eq!(m.counter("engine.hot_allocs"), 0);
-        assert_eq!(m.counter("engine.stats_canonicalize_fallbacks"), 0);
-        let stats = engine.stats();
-        assert_eq!(stats.hot_allocs, 0);
-        assert_eq!(stats.stats_canonicalize_fallbacks, 0);
     }
 
     #[test]
@@ -1638,7 +1395,7 @@ mod tests {
         let telemetry = Telemetry::enabled();
         let engine = Engine::with_telemetry(EngineConfig::serial(), telemetry);
         let buffer = BufferConfig::shared(1 << 20);
-        let p = cocco_partition::Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3]);
+        let p = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3]);
         for _ in 0..3 {
             engine.dispatch(1, |_| {
                 engine.score_partition(&eval, &p, &buffer, EvalOptions::default(), None);
@@ -1660,10 +1417,7 @@ mod tests {
         let options = EvalOptions::default();
         let repeated = Engine::new(EngineConfig::serial());
         let once = Engine::new(EngineConfig::serial());
-        let p =
-            cocco_partition::repair(&g, cocco_partition::Partition::depth_groups(&g, 3), &|_| {
-                true
-            });
+        let p = repaired_depth_groups(&g, 3);
         let (first, _) = once.score_partition(&eval, &p, &buffer, options, None);
         for _ in 0..3 {
             let (again, memo) = repeated.score_partition(&eval, &p, &buffer, options, None);
@@ -1672,8 +1426,9 @@ mod tests {
         }
         // Repeats are answered by the slot's L0 and change nothing the
         // shared cache (or its snapshot) holds.
-        assert_eq!(repeated.metrics().counter("engine.cache.l0_hits"), 2);
-        assert_eq!(repeated.stats().cache_hits, 2);
+        let m = repeated.metrics();
+        assert_eq!(m.counter("engine.cache.l0_hits"), 2);
+        assert_eq!(m.counter("engine.cache.partition.hits"), 2);
         assert_eq!(repeated.cache().snapshot(), once.cache().snapshot());
     }
 
@@ -1708,6 +1463,34 @@ mod tests {
     }
 
     #[test]
+    fn chunk_sizes_resolve_sanely() {
+        // Four claims per worker, never zero.
+        assert_eq!(chunk_len(64, 4), 4);
+        assert_eq!(chunk_len(100, 4), 7);
+        assert_eq!(chunk_len(16, 4), 1);
+        assert_eq!(chunk_len(0, 4), 1);
+        assert_eq!(chunk_len(7, 1), 2);
+    }
+
+    #[test]
+    fn auto_engines_chunk_by_their_pool_thread_count() {
+        // An `auto` engine resolves its worker count once, at
+        // construction; every batch is split by that count.
+        let engine = Engine::new(EngineConfig::auto());
+        let threads = engine.pool().threads();
+        let mut units = 0;
+        for jobs in [1usize, 7, 64, 100] {
+            engine.dispatch(jobs, |_| {});
+            units += jobs.div_ceil(jobs.div_ceil(threads * 4));
+            assert_eq!(
+                engine.metrics().counter("engine.pool.chunks"),
+                units as u64,
+                "{jobs} jobs on {threads} threads"
+            );
+        }
+    }
+
+    #[test]
     fn deferred_publication_is_thread_count_invariant() {
         // Score the same distinct partitions as one deferred batch at 1,
         // 2 and 4 threads: the drained shared cache must be
@@ -1716,15 +1499,8 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
-        let partitions: Vec<Partition> = (1..=6usize)
-            .map(|l| {
-                cocco_partition::repair(
-                    &g,
-                    cocco_partition::Partition::depth_groups(&g, l),
-                    &|_| true,
-                )
-            })
-            .collect();
+        let partitions: Vec<Partition> =
+            (1..=6usize).map(|l| repaired_depth_groups(&g, l)).collect();
         let snapshot_of = |threads: u32| {
             let engine = Engine::new(EngineConfig::with_threads(threads));
             engine.dispatch(partitions.len(), |i| {
@@ -1754,9 +1530,8 @@ mod tests {
         let g = cocco_graph::models::chain(5);
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
-        let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
         let tiny = BufferConfig::shared(256);
-        let scored = engine.score(&eval, &subgraphs, &tiny, EvalOptions::default());
+        let scored = score(&engine, &eval, &Partition::whole(g.len()), &tiny);
         assert!(!scored.fits);
         assert!(!scored.error);
         assert!(scored.cost(CostMetric::Ema, None).is_infinite());

@@ -20,10 +20,11 @@
 //!   Formula 1 and Formula 2 searches alike, growth is bounded by a
 //!   generation-sweep eviction policy (`EngineConfig::cache_capacity`),
 //!   and both levels persist across runs via [`CacheSnapshot`];
-//! * [`Engine`] — pool + cache + [`EngineStats`], the object a search
-//!   context shares across threads, with a subgraph-granular delta path
-//!   ([`Engine::score_delta`] + [`EvalMemo`]) that re-scores only the
-//!   subgraphs a mutation touched;
+//! * [`Engine`] — pool + cache, the object a search context shares across
+//!   threads: [`Engine::score_partition`] scores a partition, and with a
+//!   parent's [`EvalMemo`] plus the mutation's delta re-scores only the
+//!   subgraphs the mutation touched; [`Engine::metrics`] reports every
+//!   counter by name;
 //! * [`SampleBudget`] — the thread-safe evaluation budget drawn on by every
 //!   searcher: sliceable for two-step inner runs, and reservable
 //!   ([`SampleBudget::reserve`] → [`SampleReservation`]) for interleaved
@@ -47,17 +48,18 @@
 //!
 //! ```
 //! use cocco_engine::{Engine, EngineConfig};
+//! use cocco_partition::Partition;
 //! use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, EvalOptions, Evaluator};
 //!
 //! let g = cocco_graph::models::chain(4);
 //! let eval = Evaluator::new(&g, AcceleratorConfig::default());
 //! let engine = Engine::new(EngineConfig::auto());
-//! let subgraphs = vec![g.node_ids().collect::<Vec<_>>()];
+//! let whole = Partition::from_assignment(vec![0; g.len()]);
 //! let buffer = BufferConfig::shared(1 << 20);
-//! let first = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
-//! let second = engine.score(&eval, &subgraphs, &buffer, EvalOptions::default());
+//! let (first, _) = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default(), None);
+//! let (second, _) = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default(), None);
 //! assert_eq!(first.cost(CostMetric::Ema, None), second.cost(CostMetric::Ema, None));
-//! assert_eq!(engine.stats().cache_hits, 1);
+//! assert_eq!(engine.metrics().counter("engine.cache.partition.hits"), 1);
 //! ```
 
 mod arena;
@@ -71,6 +73,6 @@ mod trace;
 pub use budget::{SampleBudget, SampleReservation};
 pub use cache::{eval_key, subgraph_key, CacheSnapshot, EvalCache, EvalKey, SNAPSHOT_VERSION};
 pub use config::{EngineConfig, ThreadCount};
-pub use engine::{DispatchPanic, Engine, EngineStats, EvalMemo, ScoredEval, SubgraphScore};
+pub use engine::{DispatchPanic, Engine, EvalMemo, ScoredEval, SubgraphScore};
 pub use pool::EnginePool;
 pub use trace::{Trace, TracePoint};

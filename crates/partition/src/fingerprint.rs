@@ -21,7 +21,7 @@
 //! recomputation.
 
 use crate::delta::PartitionDelta;
-use crate::layout::SubgraphsView;
+use crate::layout::{LayoutArena, PartitionLayout};
 use crate::partition::Partition;
 use cocco_graph::{NodeId, NodeSetFp};
 
@@ -86,25 +86,12 @@ impl PartitionFingerprints {
         }
     }
 
-    /// Fingerprints an explicit ordered subgraph list (the evaluation-side
-    /// view of a partition — nested vectors or a flat
-    /// [`PartitionLayout`](crate::PartitionLayout); members of each
-    /// subgraph must be ascending, as [`Partition::subgraphs`] produces
-    /// them).
-    pub fn from_subgraphs<S: SubgraphsView + ?Sized>(subgraphs: &S) -> Self {
-        let n = subgraphs.num_subgraphs();
-        let by_position: Vec<NodeSetFp> = (0..n)
-            .map(|i| NodeSetFp::of_members(subgraphs.members_of(i)))
-            .collect();
-        let anchors = Self::index(
-            (0..n)
-                .zip(&by_position)
-                .filter_map(|(i, &fp)| subgraphs.members_of(i).first().map(|&a| (a, fp))),
-        );
-        Self {
-            by_position,
-            anchors,
-        }
+    /// Fingerprints a partition's flat [`PartitionLayout`] (the
+    /// evaluation-side view; members of each subgraph ascend, as the
+    /// layout builder produces them).
+    pub fn from_subgraphs(subgraphs: &PartitionLayout<'_>) -> Self {
+        let by_position: Vec<NodeSetFp> = subgraphs.iter().map(NodeSetFp::of_members).collect();
+        Self::with_positions(subgraphs, by_position)
     }
 
     /// Builds the sorted anchor index.
@@ -119,15 +106,11 @@ impl PartitionFingerprints {
     /// through their (stable) anchor, dirty positions re-derive from their
     /// members. Debug builds assert every copied fingerprint equals the
     /// from-scratch one.
-    pub fn refresh_positions<S: SubgraphsView + ?Sized>(
-        &self,
-        subgraphs: &S,
-        dirty: &[bool],
-    ) -> Self {
-        let n = subgraphs.num_subgraphs();
-        let by_position: Vec<NodeSetFp> = (0..n)
-            .map(|i| {
-                let members = subgraphs.members_of(i);
+    pub fn refresh_positions(&self, subgraphs: &PartitionLayout<'_>, dirty: &[bool]) -> Self {
+        let by_position: Vec<NodeSetFp> = subgraphs
+            .iter()
+            .enumerate()
+            .map(|(i, members)| {
                 let clean = !dirty.get(i).copied().unwrap_or(true);
                 if clean {
                     if let Some(fp) = members.first().and_then(|&m| self.anchored(m)) {
@@ -142,10 +125,16 @@ impl PartitionFingerprints {
                 NodeSetFp::of_members(members)
             })
             .collect();
+        Self::with_positions(subgraphs, by_position)
+    }
+
+    /// Pairs per-position fingerprints with their subgraphs' anchors.
+    fn with_positions(subgraphs: &PartitionLayout<'_>, by_position: Vec<NodeSetFp>) -> Self {
         let anchors = Self::index(
-            (0..n)
+            subgraphs
+                .iter()
                 .zip(&by_position)
-                .filter_map(|(i, &fp)| subgraphs.members_of(i).first().map(|&a| (a, fp))),
+                .filter_map(|(members, &fp)| members.first().map(|&a| (a, fp))),
         );
         Self {
             by_position,
@@ -157,7 +146,9 @@ impl PartitionFingerprints {
     /// [`PartitionDelta`]: only subgraphs of `partition` containing a dirty
     /// node re-fingerprint.
     pub fn refresh(&self, partition: &Partition, delta: &PartitionDelta) -> Self {
-        self.refresh_positions(&partition.subgraphs(), &delta.dirty_subgraphs(partition))
+        let mut arena = LayoutArena::new();
+        let layout = arena.build_from_partition(partition);
+        self.refresh_positions(&layout, &delta.dirty_subgraphs(partition))
     }
 
     /// The delta between the partition these fingerprints describe and
@@ -224,7 +215,9 @@ mod tests {
     fn compute_matches_from_subgraphs() {
         let p = Partition::from_assignment(vec![9, 2, 2, 9, 4]);
         let fps = PartitionFingerprints::compute(&p);
-        assert_eq!(fps, PartitionFingerprints::from_subgraphs(&p.subgraphs()));
+        let mut arena = LayoutArena::new();
+        let layout = arena.build_from_partition(&p);
+        assert_eq!(fps, PartitionFingerprints::from_subgraphs(&layout));
         assert_eq!(fps.len(), 3);
         // The anchor view agrees with membership.
         for (members, &fp) in p.subgraphs().iter().zip(fps.positions()) {

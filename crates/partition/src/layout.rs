@@ -13,70 +13,12 @@
 //! subgraphs appear in ascending (sparse) id order with empty ids
 //! skipped, and members within a subgraph ascend (topological order).
 //! Everything downstream — fingerprinting, cache keys, the per-subgraph
-//! fold — consumes either representation through [`SubgraphsView`], so
-//! the arena path and the nested reference path are bit-identical by
-//! construction.
+//! fold — consumes the layout, so its results match the evaluator's
+//! nested-vector oracle (`Evaluator::eval_partition` over
+//! [`Partition::subgraphs`]) bit for bit.
 
 use crate::partition::Partition;
 use cocco_graph::NodeId;
-
-/// A read-only, order-preserving view of a partition's member lists —
-/// implemented by the flat [`PartitionLayout`] and by the nested
-/// `Vec<Vec<NodeId>>` reference representation so evaluation code
-/// monomorphizes over both and performs the identical operations in the
-/// identical order.
-pub trait SubgraphsView {
-    /// Number of subgraphs in execution order.
-    fn num_subgraphs(&self) -> usize;
-
-    /// Members of the `i`-th subgraph (ascending node ids).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    fn members_of(&self, i: usize) -> &[NodeId];
-
-    /// `true` when the view covers no subgraphs.
-    fn no_subgraphs(&self) -> bool {
-        self.num_subgraphs() == 0
-    }
-
-    /// `true` when any subgraph is empty (a structurally invalid
-    /// partition an evaluator must reject).
-    fn any_empty(&self) -> bool {
-        (0..self.num_subgraphs()).any(|i| self.members_of(i).is_empty())
-    }
-}
-
-impl SubgraphsView for [Vec<NodeId>] {
-    fn num_subgraphs(&self) -> usize {
-        self.len()
-    }
-
-    fn members_of(&self, i: usize) -> &[NodeId] {
-        &self[i]
-    }
-}
-
-impl SubgraphsView for Vec<Vec<NodeId>> {
-    fn num_subgraphs(&self) -> usize {
-        self.len()
-    }
-
-    fn members_of(&self, i: usize) -> &[NodeId] {
-        &self[i]
-    }
-}
-
-impl SubgraphsView for PartitionLayout<'_> {
-    fn num_subgraphs(&self) -> usize {
-        PartitionLayout::num_subgraphs(self)
-    }
-
-    fn members_of(&self, i: usize) -> &[NodeId] {
-        self.subgraph(i)
-    }
-}
 
 /// A flat view of one partition's member lists: a contiguous `NodeId`
 /// buffer plus an offsets array (`offsets[i]..offsets[i + 1]` delimits
@@ -86,7 +28,7 @@ impl SubgraphsView for PartitionLayout<'_> {
 /// # Examples
 ///
 /// ```
-/// use cocco_partition::{LayoutArena, Partition, SubgraphsView};
+/// use cocco_partition::{LayoutArena, Partition};
 ///
 /// let p = Partition::from_assignment(vec![9, 2, 2, 9]);
 /// let mut arena = LayoutArena::new();
@@ -149,11 +91,6 @@ impl<'a> PartitionLayout<'a> {
     /// The flat member buffer (subgraphs concatenated in order).
     pub fn members(&self) -> &'a [NodeId] {
         self.members
-    }
-
-    /// The offsets array (`num_subgraphs + 1` entries when non-empty).
-    pub fn offsets(&self) -> &'a [u32] {
-        self.offsets
     }
 
     /// Converts back to the nested reference representation.
@@ -239,20 +176,6 @@ impl LayoutArena {
         self.layout()
     }
 
-    /// Builds a layout from an explicit nested subgraph list (order
-    /// preserved verbatim) — the conversion arm of the round-trip with
-    /// `Vec<Vec<NodeId>>`.
-    pub fn build_from_nested(&mut self, subgraphs: &[Vec<NodeId>]) -> PartitionLayout<'_> {
-        let n: usize = subgraphs.iter().map(Vec::len).sum();
-        self.begin(n, subgraphs.len() + 1, 0);
-        self.offsets.push(0);
-        for members in subgraphs {
-            self.members.extend_from_slice(members);
-            self.offsets.push(self.members.len() as u32);
-        }
-        self.layout()
-    }
-
     /// The most recently built layout (empty before the first build).
     pub fn layout(&self) -> PartitionLayout<'_> {
         PartitionLayout::from_raw(&self.members, &self.offsets)
@@ -316,7 +239,6 @@ mod tests {
                 let p = Partition::depth_groups(&g, l);
                 let nested = p.subgraphs();
                 assert_eq!(arena.build_from_partition(&p).to_nested(), nested);
-                assert_eq!(arena.build_from_nested(&nested).to_nested(), nested);
             }
         }
     }
@@ -345,14 +267,14 @@ mod tests {
     #[test]
     fn empty_and_singleton_layouts() {
         let mut arena = LayoutArena::new();
-        let layout = arena.build_from_nested(&[]);
+        assert_eq!(arena.layout().num_subgraphs(), 0, "nothing built yet");
+        let layout = arena.build_from_partition(&Partition::from_assignment(vec![]));
         assert_eq!(layout.num_subgraphs(), 0);
         assert!(layout.is_empty());
-        assert!(layout.no_subgraphs());
         let p = Partition::singletons(3);
         let layout = arena.build_from_partition(&p);
         assert_eq!(layout.num_subgraphs(), 3);
-        assert!(!layout.any_empty());
+        assert!(layout.iter().all(|members| !members.is_empty()));
         assert_eq!(layout.subgraph(1), &[NodeId::from_index(1)]);
     }
 
@@ -362,15 +284,10 @@ mod tests {
         let nested = p.subgraphs();
         let mut arena = LayoutArena::new();
         let layout = arena.build_from_partition(&p);
-        assert_eq!(
-            SubgraphsView::num_subgraphs(&layout),
-            SubgraphsView::num_subgraphs(&nested)
-        );
-        for i in 0..nested.len() {
-            assert_eq!(layout.members_of(i), nested.members_of(i));
+        assert_eq!(layout.num_subgraphs(), nested.len());
+        for (i, members) in nested.iter().enumerate() {
+            assert_eq!(layout.subgraph(i), members.as_slice());
         }
-        let empties: Vec<Vec<NodeId>> = vec![vec![], vec![NodeId::from_index(0)]];
-        assert!(empties.any_empty());
-        assert!(!nested.any_empty());
+        assert_eq!(layout.members(), nested.concat().as_slice());
     }
 }

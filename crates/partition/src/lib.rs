@@ -27,7 +27,7 @@ mod repair;
 pub use delta::PartitionDelta;
 pub use error::PartitionError;
 pub use fingerprint::PartitionFingerprints;
-pub use layout::{LayoutArena, PartitionLayout, SubgraphsView};
+pub use layout::{LayoutArena, PartitionLayout};
 pub use partition::Partition;
 pub use quotient::Quotient;
 pub use repair::{

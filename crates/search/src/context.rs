@@ -798,7 +798,12 @@ mod tests {
         assert_eq!(ctx.trace().len(), 2);
         assert_eq!(ctx.budget().used(), 2);
         // The repeated evaluation hit the engine cache.
-        assert!(ctx.engine().stats().cache_hits >= 1);
+        assert!(
+            ctx.engine()
+                .metrics()
+                .counter("engine.cache.partition.hits")
+                >= 1
+        );
     }
 
     #[test]

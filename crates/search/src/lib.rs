@@ -78,9 +78,7 @@ mod twostep;
 // existing `cocco_search::{SampleBudget, Trace, TracePoint}` paths keep
 // working.
 pub use cocco_engine::EvalMemo;
-pub use cocco_engine::{
-    Engine, EngineConfig, EngineStats, SampleBudget, SampleReservation, ThreadCount,
-};
+pub use cocco_engine::{Engine, EngineConfig, SampleBudget, SampleReservation, ThreadCount};
 pub use cocco_engine::{Trace, TracePoint};
 pub use cocco_partition::PartitionDelta;
 pub use context::{EvalCandidate, EvalHint, SearchContext};

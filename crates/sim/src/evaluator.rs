@@ -1,7 +1,6 @@
 //! The partition evaluator: cached per-subgraph statistics plus the
 //! energy/latency/bandwidth roll-up.
 
-use crate::columns::SubgraphColumns;
 use crate::config::{AcceleratorConfig, BufferConfig, EvalOptions};
 use crate::cost::SubgraphStats;
 use crate::error::SimError;
@@ -228,8 +227,8 @@ impl<'g> Evaluator<'g> {
 
     /// Statistics misses that had to canonicalize (sort a copy of) an
     /// out-of-order member list before derivation. 0 on every production
-    /// path — the smoke benchmark asserts it via
-    /// `EngineStats::stats_canonicalize_fallbacks`.
+    /// path — the engine reports it as `engine.hot_allocs`, which the
+    /// smoke benchmark asserts is 0.
     pub fn stats_canonicalize_fallbacks(&self) -> u64 {
         self.stats_canon_fallbacks.load(Ordering::Relaxed)
     }
@@ -582,59 +581,6 @@ impl<'g> Evaluator<'g> {
             self.config.freq_ghz,
         ))
     }
-
-    /// Batch scorer over a flat partition layout: `members` is one
-    /// contiguous buffer of node ids and `offsets` delimits subgraph `i`
-    /// as `members[offsets[i]..offsets[i + 1]]` (execution order, members
-    /// ascending within each subgraph). Per-subgraph terms are written
-    /// column-wise into `out`, which is cleared first and whose capacity
-    /// is reused across calls — a warmed caller refills it without heap
-    /// allocation.
-    ///
-    /// The scoring pipeline is exactly
-    /// [`eval_partition`](Self::eval_partition)'s — a statistics pass,
-    /// then an [`eval_subgraph`](Self::eval_subgraph) pass chaining each
-    /// successor's weight prefetch — so
-    /// [`PartitionReport::from_columns`] over `out` is bit-identical to
-    /// the nested path.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for structurally invalid inputs (no subgraphs,
-    /// empty subgraphs, duplicate nodes, unknown ids), like
-    /// [`eval_partition`](Self::eval_partition).
-    pub fn eval_subgraph_batch(
-        &self,
-        members: &[NodeId],
-        offsets: &[u32],
-        buffer: &BufferConfig,
-        options: EvalOptions,
-        out: &mut SubgraphColumns,
-    ) -> Result<(), SimError> {
-        out.clear();
-        let count = offsets.len().saturating_sub(1);
-        if count == 0 {
-            return Err(SimError::EmptySubgraph { index: 0 });
-        }
-        out.reserve(count);
-        for index in 0..count {
-            let sub = &members[offsets[index] as usize..offsets[index + 1] as usize];
-            if sub.is_empty() {
-                return Err(SimError::EmptySubgraph { index });
-            }
-            out.stats.push(self.subgraph_stats(sub)?);
-        }
-        for index in 0..count {
-            let next_wgt = out.stats.get(index + 1).map_or(0, |s| s.ema_wgt_bytes);
-            let part = self.eval_subgraph(&out.stats[index], next_wgt, buffer, options);
-            out.ema_bytes.push(part.ema_bytes);
-            out.energy_pj.push(part.energy_pj);
-            out.latency_cycles.push(part.latency_cycles);
-            out.bw_bytes_per_cycle.push(part.bw_bytes_per_cycle);
-            out.fits.push(part.fits);
-        }
-        Ok(())
-    }
 }
 
 /// PE-array utilization of one layer on the configured core.
@@ -946,72 +892,6 @@ mod tests {
             .unwrap();
         assert!(r.avg_bw_gbps > 0.0);
         assert!(r.peak_bw_gbps >= r.avg_bw_gbps * 0.99);
-    }
-
-    /// Flattens nested subgraphs into the (members, offsets) layout the
-    /// batch scorer consumes.
-    fn flatten(subgraphs: &[Vec<NodeId>]) -> (Vec<NodeId>, Vec<u32>) {
-        let mut members = Vec::new();
-        let mut offsets = vec![0u32];
-        for sub in subgraphs {
-            members.extend_from_slice(sub);
-            offsets.push(members.len() as u32);
-        }
-        (members, offsets)
-    }
-
-    #[test]
-    fn batch_scorer_is_bit_identical_to_eval_partition() {
-        for g in [
-            cocco_graph::models::googlenet(),
-            cocco_graph::models::resnet50(),
-        ] {
-            let eval = Evaluator::new(&g, AcceleratorConfig::default());
-            let buf = BufferConfig::shared(2 << 20);
-            for options in [EvalOptions::default(), EvalOptions::with_cores(2)] {
-                let parts = depth_pairs(&g);
-                let nested = eval.eval_partition(&parts, &buf, options).unwrap();
-                let (members, offsets) = flatten(&parts);
-                let mut columns = SubgraphColumns::new();
-                eval.eval_subgraph_batch(&members, &offsets, &buf, options, &mut columns)
-                    .unwrap();
-                let flat = PartitionReport::from_columns(&columns, buf, eval.config().freq_ghz);
-                assert_eq!(nested, flat, "SoA roll-up must be bit-identical");
-                // Warmed reuse: clearing keeps capacity, refilling keeps
-                // the result.
-                let before = columns.bytes();
-                eval.eval_subgraph_batch(&members, &offsets, &buf, options, &mut columns)
-                    .unwrap();
-                assert_eq!(columns.bytes(), before, "reuse must not grow columns");
-                assert_eq!(
-                    PartitionReport::from_columns(&columns, buf, eval.config().freq_ghz),
-                    flat
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_scorer_rejects_empty_layouts() {
-        let g = cocco_graph::models::diamond();
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let buf = BufferConfig::shared(1 << 20);
-        let mut columns = SubgraphColumns::new();
-        let err = eval
-            .eval_subgraph_batch(&[], &[0], &buf, EvalOptions::default(), &mut columns)
-            .unwrap_err();
-        assert!(matches!(err, SimError::EmptySubgraph { index: 0 }));
-        let ids: Vec<NodeId> = g.node_ids().collect();
-        let err = eval
-            .eval_subgraph_batch(
-                &ids,
-                &[0, 2, 2, ids.len() as u32],
-                &buf,
-                EvalOptions::default(),
-                &mut columns,
-            )
-            .unwrap_err();
-        assert!(matches!(err, SimError::EmptySubgraph { index: 1 }));
     }
 
     #[test]

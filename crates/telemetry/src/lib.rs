@@ -32,11 +32,19 @@
 //! - `engine.batch.wall_ns` (gauge; the facade's `eval` phase): summed
 //!   batch wall time, covering repair, cache probe and scoring of every
 //!   batch job
+//! - `engine.threads` (gauge; the resolved worker count) and
+//!   `engine.evals` (partition-scoring requests: roll-up hits + misses)
 //! - `engine.pool.dispatched` / `.chunks` / `.inline_batches` (jobs
 //!   handed to the pool, the claim units they were split into, and
 //!   batches run on the caller — one unit, or a one-worker engine)
-//! - `engine.cache.partition.hits` / `.misses` / `.evictions` (and
-//!   `…cache.subgraph.*` for the second level)
+//! - `engine.cache.partition.hits` / `.misses` / `.evictions` and the
+//!   `.entries` gauge (and `…cache.subgraph.*` for the second level)
+//! - `engine.subgraph.scorings` / `.reused` (subgraph terms computed
+//!   fresh, and copied from a parent's memo on the delta path)
+//! - `engine.hot_allocs` (the hot-path allocation tripwire: statistics
+//!   misses that had to sort an out-of-order member list; 0 in
+//!   production) and `engine.arena.bytes` / `.reuses` / `.grows`
+//!   (per-worker scoring scratch)
 //! - `engine.cache.l0_hits` / `.l0_publishes` (probes answered by a
 //!   worker's local cache, and entries staged for the funding-order
 //!   publication at batch end)

@@ -253,9 +253,9 @@ impl HistogramSnapshot {
 
 /// A point-in-time, name-ordered copy of every registered metric.
 ///
-/// This is the authoritative export format: `EngineStats` is derived
-/// from it as a compatibility view, and `--stats-json` serializes it
-/// directly.
+/// This is the one export format: `Engine::metrics` returns it, an
+/// `Exploration` carries it as `metrics`, and `--stats-json` serializes
+/// it directly. Readers look values up by name.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     pub counters: Vec<MetricEntry>,

@@ -113,8 +113,7 @@ fn incremental_scoring_is_bit_identical_over_random_mutation_sequences() {
 
         let mut rng = StdRng::seed_from_u64(0xDE17A);
         let mut partition = repair(&g, Partition::connected_groups(&g, 4), &fits);
-        let (scored, memo) =
-            engine.score_composed(&evaluator, &partition.subgraphs(), &buffer, options);
+        let (scored, memo) = engine.score_partition(&evaluator, &partition, &buffer, options, None);
         assert!(!scored.error, "{model}: seed partition must score");
         let mut memo: Arc<EvalMemo> = memo.expect("first composition returns a memo");
 
@@ -128,14 +127,18 @@ fn incremental_scoring_is_bit_identical_over_random_mutation_sequences() {
                 random_edit(&g, &mut partition, &mut delta, &mut rng);
             }
             partition = repair_with_delta(&g, partition, &fits, &mut delta);
-            let subgraphs = partition.subgraphs();
-            let dirty = delta.dirty_subgraphs(&partition);
-            let before = engine.stats().subgraph_reused;
-            let (incremental, next_memo) =
-                engine.score_delta(&evaluator, &subgraphs, &buffer, options, &memo, &dirty);
-            reused_total += engine.stats().subgraph_reused - before;
+            let reused = || engine.metrics().counter("engine.subgraph.reused");
+            let before = reused();
+            let (incremental, next_memo) = engine.score_partition(
+                &evaluator,
+                &partition,
+                &buffer,
+                options,
+                Some((&memo, &delta)),
+            );
+            reused_total += reused() - before;
             let full = evaluator
-                .eval_partition(&subgraphs, &buffer, options)
+                .eval_partition(&partition.subgraphs(), &buffer, options)
                 .unwrap();
             assert_eq!(
                 incremental.ema_bytes, full.ema_bytes,
@@ -165,7 +168,7 @@ fn incremental_scoring_is_bit_identical_over_random_mutation_sequences() {
 fn resnet_run(
     method: SearchMethod,
     engine: EngineConfig,
-) -> (f64, Option<Genome>, Vec<TracePoint>, EngineStats) {
+) -> (f64, Option<Genome>, Vec<TracePoint>, MetricsSnapshot) {
     let g = cocco::graph::models::resnet50();
     let evaluator = Evaluator::new(&g, AcceleratorConfig::default());
     let ctx = SearchContext::new(
@@ -181,7 +184,7 @@ fn resnet_run(
         out.best_cost,
         out.best,
         ctx.trace().points(),
-        ctx.engine().stats(),
+        ctx.engine().metrics(),
     )
 }
 
@@ -229,12 +232,13 @@ fn ga_sa_twostep_incremental_matches_full_path_at_any_thread_count() {
             "{name}: trace diverged at 4 threads"
         );
         assert_eq!(
-            parallel.3.key_allocs, 0,
-            "{name}: the batch path built keys"
+            parallel.3.counter("engine.hot_allocs"),
+            0,
+            "{name}: the batch path allocated on the hot path"
         );
         // And the delta path is live on the mutation-heavy searchers.
         assert!(
-            reference.3.subgraph_reused > 0,
+            reference.3.counter("engine.subgraph.reused") > 0,
             "{name}: no memoized subgraph term was ever reused"
         );
     }
@@ -268,8 +272,9 @@ fn persistent_scoped_and_serial_pools_are_bit_identical() {
                 "{name}: trace diverged at {threads} threads"
             );
             assert_eq!(
-                run.3.key_allocs, 0,
-                "{name}: incremental path built keys at {threads} threads"
+                run.3.counter("engine.hot_allocs"),
+                0,
+                "{name}: incremental path allocated on the hot path at {threads} threads"
             );
         }
     }
@@ -284,20 +289,25 @@ fn delta_reuse_survives_dse_buffer_changes() {
     let engine = Engine::new(EngineConfig::serial());
     let options = EvalOptions::default();
     let partition = repair(&g, Partition::connected_groups(&g, 3), &|_| true);
-    let subgraphs = partition.subgraphs();
     let small = BufferConfig::shared(1 << 20);
     let large = BufferConfig::shared(2 << 20);
-    let (_, memo) = engine.score_composed(&evaluator, &subgraphs, &small, options);
+    let (_, memo) = engine.score_partition(&evaluator, &partition, &small, options, None);
     let memo = memo.unwrap();
-    let dirty = vec![false; subgraphs.len()];
-    let (scored, _) = engine.score_delta(&evaluator, &subgraphs, &large, options, &memo, &dirty);
+    let clean = PartitionDelta::clean(g.len());
+    let (scored, _) = engine.score_partition(
+        &evaluator,
+        &partition,
+        &large,
+        options,
+        Some((&memo, &clean)),
+    );
     let full = evaluator
-        .eval_partition(&subgraphs, &large, options)
+        .eval_partition(&partition.subgraphs(), &large, options)
         .unwrap();
     assert_eq!(scored.energy_pj, full.energy_pj);
     assert_eq!(scored.ema_bytes, full.ema_bytes);
     assert_eq!(
-        engine.stats().subgraph_reused,
+        engine.metrics().counter("engine.subgraph.reused"),
         0,
         "terms under another buffer must never be reused"
     );

@@ -4,13 +4,13 @@
 
 use cocco::prelude::*;
 
-/// Serializes an exploration with its volatile engine statistics zeroed:
+/// Serializes an exploration with its volatile engine metrics cleared:
 /// wall time and thread count differ run to run by construction, and the
 /// cache-hit counters are scheduling-dependent at >1 threads. Everything
 /// else — genome, report, cost, samples, trace, error counter — must be
 /// bit-identical.
 fn normalized_json(mut exploration: Exploration) -> String {
-    exploration.stats = EngineStats::default();
+    exploration.metrics = MetricsSnapshot::default();
     serde_json::to_string(&exploration).expect("exploration serializes")
 }
 
