@@ -162,43 +162,6 @@ impl EvalKey {
     }
 }
 
-/// Encodes `(evaluator fingerprint, subgraphs, buffer, options)` into a
-/// partition-level [`EvalKey`], fingerprinting each member list on the fly
-/// (hot paths precompute the fingerprints instead and call
-/// [`EvalKey::partition`]).
-pub fn eval_key(
-    fingerprint: u64,
-    subgraphs: &[Vec<NodeId>],
-    buffer: &BufferConfig,
-    options: EvalOptions,
-) -> EvalKey {
-    EvalKey::partition(
-        fingerprint,
-        subgraphs.iter().map(|m| NodeSetFp::of_members(m)),
-        buffer,
-        options,
-    )
-}
-
-/// Encodes `(evaluator fingerprint, members, next_wgt, buffer, options)`
-/// into a subgraph-level [`EvalKey`], fingerprinting the member list on
-/// the fly.
-pub fn subgraph_key(
-    fingerprint: u64,
-    members: &[NodeId],
-    next_wgt: u64,
-    buffer: &BufferConfig,
-    options: EvalOptions,
-) -> EvalKey {
-    EvalKey::subgraph(
-        fingerprint,
-        NodeSetFp::of_members(members),
-        next_wgt,
-        buffer,
-        options,
-    )
-}
-
 /// One cached value plus its last-touched generation (updated on hits
 /// under the shard's read lock, hence atomic).
 #[derive(Debug)]
@@ -743,10 +706,9 @@ impl EvalCache {
 
     /// Creates an empty cache bounded to `capacity` total entries. The
     /// subgraph-term level takes at least half; the partition level takes
-    /// the rest, additionally capped at
-    /// [`PARTITION_ENTRY_CAP`](Self::PARTITION_ENTRY_CAP) entries because
-    /// its entries carry memos (see the constant's docs). Tiny capacities
-    /// are clamped so every shard can hold at least one entry.
+    /// the rest, additionally capped at 16 384 entries because its
+    /// entries carry memos (kilobytes each on large models). Tiny
+    /// capacities are clamped so every shard can hold at least one entry.
     pub fn with_capacity(capacity: usize) -> Self {
         Self::with_capacity_telemetry(capacity, Telemetry::disabled())
     }
@@ -764,21 +726,11 @@ impl EvalCache {
         }
     }
 
-    /// Looks a partition roll-up key up, counting a hit or miss.
-    pub fn get(&self, key: &EvalKey) -> Option<ScoredEval> {
-        self.get_memoized(key).map(|(scored, _)| scored)
-    }
-
     /// Looks a partition roll-up key up, returning the score *and* the
     /// per-subgraph memo recorded with it (if the entry was composed on
     /// the incremental path), counting a hit or miss.
     pub fn get_memoized(&self, key: &EvalKey) -> Option<(ScoredEval, Option<Arc<EvalMemo>>)> {
         self.partition.get(key)
-    }
-
-    /// Inserts a computed partition evaluation without a memo.
-    pub fn insert(&self, key: EvalKey, value: ScoredEval) {
-        self.insert_memoized(key, value, None);
     }
 
     /// Inserts a computed partition evaluation together with its
@@ -847,23 +799,6 @@ impl EvalCache {
         self.subgraph.evictions.load(Ordering::Relaxed)
     }
 
-    /// Counts a partition lookup answered by a worker-local L0 cache.
-    ///
-    /// Every L0-resident entry is (or will be, via the batch-end drain)
-    /// also present in this shared cache, so an L0 hit is semantically a
-    /// cache hit; crediting it here keeps `evals = hits + misses`
-    /// invariant regardless of where the probe was satisfied.
-    pub(crate) fn record_l0_partition_hit(&self) {
-        self.partition.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a subgraph-term lookup answered by a worker-local L0 cache
-    /// (same accounting rationale as
-    /// [`record_l0_partition_hit`](Self::record_l0_partition_hit)).
-    pub(crate) fn record_l0_subgraph_hit(&self) {
-        self.subgraph.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A serializable image of both levels (entries sorted by key; memos
     /// are process-local and not persisted).
     pub fn snapshot(&self) -> CacheSnapshot {
@@ -924,6 +859,29 @@ mod tests {
             .iter()
             .map(|g| g.iter().map(|&i| NodeId::from_index(i)).collect())
             .collect()
+    }
+
+    /// A partition key fingerprinting each member list on the fly.
+    fn eval_key(
+        fingerprint: u64,
+        subgraphs: &[Vec<NodeId>],
+        buffer: &BufferConfig,
+        options: EvalOptions,
+    ) -> EvalKey {
+        let fps = subgraphs.iter().map(|m| NodeSetFp::of_members(m));
+        EvalKey::partition(fingerprint, fps, buffer, options)
+    }
+
+    /// A subgraph-term key fingerprinting the member list on the fly.
+    fn subgraph_key(
+        fingerprint: u64,
+        members: &[NodeId],
+        next_wgt: u64,
+        buffer: &BufferConfig,
+        options: EvalOptions,
+    ) -> EvalKey {
+        let fp = NodeSetFp::of_members(members);
+        EvalKey::subgraph(fingerprint, fp, next_wgt, buffer, options)
     }
 
     fn scored(ema: u64) -> ScoredEval {
@@ -1046,9 +1004,9 @@ mod tests {
             &BufferConfig::shared(64),
             EvalOptions::default(),
         );
-        assert!(cache.get(&key).is_none());
-        cache.insert(key, scored(7));
-        assert_eq!(cache.get(&key).unwrap().ema_bytes, 7);
+        assert!(cache.get_memoized(&key).is_none());
+        cache.insert_memoized(key, scored(7), None);
+        assert_eq!(cache.get_memoized(&key).unwrap().0.ema_bytes, 7);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.partition_entries(), 1);
@@ -1133,7 +1091,7 @@ mod tests {
             &BufferConfig::shared(64),
             EvalOptions::default(),
         );
-        cache.insert(pkey, scored(11));
+        cache.insert_memoized(pkey, scored(11), None);
         let members = [NodeId::from_index(0)];
         let skey = subgraph_key(
             7,
@@ -1148,7 +1106,7 @@ mod tests {
         assert_eq!(snap.len(), 2);
         let other = EvalCache::new();
         other.restore(&snap);
-        assert_eq!(other.get(&pkey).unwrap(), scored(11));
+        assert_eq!(other.get_memoized(&pkey).unwrap().0, scored(11));
         assert_eq!(other.get_subgraph(&skey).unwrap(), term(13));
         assert_eq!(other.snapshot(), snap, "snapshot ordering is stable");
     }
@@ -1157,7 +1115,7 @@ mod tests {
     fn snapshot_split_by_fingerprint() {
         let cache = EvalCache::new();
         for fp in [1u64, 2] {
-            cache.insert(
+            cache.insert_memoized(
                 eval_key(
                     fp,
                     &sg(&[&[0]]),
@@ -1165,6 +1123,7 @@ mod tests {
                     EvalOptions::default(),
                 ),
                 scored(fp),
+                None,
             );
             cache.insert_subgraph(
                 subgraph_key(
@@ -1196,7 +1155,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
         let cache = EvalCache::new();
-        cache.insert(
+        cache.insert_memoized(
             eval_key(
                 9,
                 &sg(&[&[0, 1], &[2]]),
@@ -1204,6 +1163,7 @@ mod tests {
                 EvalOptions::default(),
             ),
             scored(21),
+            None,
         );
         cache.insert_subgraph(
             subgraph_key(
@@ -1285,7 +1245,7 @@ mod tests {
         // Restoring serves hits under the re-derived keys.
         let cache = EvalCache::new();
         cache.restore(&snap);
-        assert_eq!(cache.get(&expected_pkey).unwrap(), scored(21));
+        assert_eq!(cache.get_memoized(&expected_pkey).unwrap().0, scored(21));
         assert_eq!(cache.get_subgraph(&expected_skey).unwrap().ema_bytes, 5);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1295,9 +1255,10 @@ mod tests {
         let cache = EvalCache::new();
         let buf = BufferConfig::shared(1 << 20);
         for i in 0..6usize {
-            cache.insert(
+            cache.insert_memoized(
                 eval_key(9, &sg(&[&[i], &[i + 10]]), &buf, EvalOptions::default()),
                 scored(i as u64),
+                None,
             );
             cache.insert_subgraph(
                 subgraph_key(9, &[NodeId::from_index(i)], 7, &buf, EvalOptions::default()),
@@ -1469,10 +1430,10 @@ mod tests {
             let keys = keys.clone();
             handles.push(std::thread::spawn(move || {
                 for (i, key) in keys.iter().enumerate() {
-                    if let Some(v) = cache.get(key) {
+                    if let Some((v, _)) = cache.get_memoized(key) {
                         assert_eq!(v.ema_bytes, i as u64, "thread {t}");
                     } else {
-                        cache.insert(*key, scored(i as u64));
+                        cache.insert_memoized(*key, scored(i as u64), None);
                     }
                 }
             }));
@@ -1482,7 +1443,7 @@ mod tests {
         }
         assert_eq!(cache.partition_entries(), 64);
         for (i, key) in keys.iter().enumerate() {
-            assert_eq!(cache.get(key).unwrap().ema_bytes, i as u64);
+            assert_eq!(cache.get_memoized(key).unwrap().0.ema_bytes, i as u64);
         }
     }
 }

@@ -18,7 +18,7 @@
 //! stable member node in O(1). No evaluation path allocates a key or walks
 //! a member vector to probe the cache.
 
-use crate::arena::{ComposeScratch, EvalArena, L0Cache, ScratchPool};
+use crate::arena::{ComposeScratch, EvalArena, ScratchPool, Staged};
 use crate::cache::{EvalCache, EvalKey};
 use crate::config::EngineConfig;
 use crate::pool::EnginePool;
@@ -107,17 +107,17 @@ impl std::fmt::Display for DispatchPanic {
 impl std::error::Error for DispatchPanic {}
 
 /// How a freshly computed cache entry reaches the shared [`EvalCache`].
-#[derive(Copy, Clone, Debug)]
-enum Publish {
+#[derive(Debug)]
+enum Publish<'a> {
     /// Insert into the shared cache right away — the policy of every
     /// direct scoring entry point, so callers outside a batch observe
     /// their entries immediately.
     Immediate,
-    /// Stage in the claimed slot's L0 queue, tagged with the funding-order
+    /// Stage in the claimed slot's queue, tagged with the funding-order
     /// sequence number of the job that computed it; the engine publishes
     /// all staged entries in ascending sequence order at the batch-end
     /// quiescent point of [`Engine::dispatch`].
-    Deferred(u64),
+    Deferred(u64, &'a mut Staged),
 }
 
 /// Renders a panic payload as text (the same downcasts the std hook uses).
@@ -289,13 +289,6 @@ pub struct Engine {
     /// `Evaluator::stats_canonicalize_fallbacks`); 0 in production,
     /// exported as the `engine.hot_allocs` tripwire.
     stats_fallbacks: AtomicU64,
-    /// Probes answered by a worker-local L0 cache (`engine.cache.l0_hits`;
-    /// both partition and subgraph levels). Engine-local — never a
-    /// registry instrument, so cached probes stay zero-perturbation.
-    l0_hits: AtomicU64,
-    /// Entries staged for the batch-end funding-order drain
-    /// (`engine.cache.l0_publishes`).
-    l0_publishes: AtomicU64,
     /// Jobs handed to [`dispatch`](Self::dispatch)
     /// (`engine.pool.dispatched`).
     dispatched: AtomicU64,
@@ -367,8 +360,6 @@ impl Engine {
             wall_nanos: AtomicU64::new(0),
             reused: AtomicU64::new(0),
             stats_fallbacks: AtomicU64::new(0),
-            l0_hits: AtomicU64::new(0),
-            l0_publishes: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
             inline_batches: AtomicU64::new(0),
@@ -431,18 +422,11 @@ impl Engine {
         options: EvalOptions,
         hint: Option<(&EvalMemo, &PartitionDelta)>,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        self.score_partition_publish(
-            evaluator,
-            partition,
-            buffer,
-            options,
-            hint,
-            Publish::Immediate,
-        )
+        self.score_partition_publish(evaluator, partition, buffer, options, hint, None)
     }
 
     /// Like [`score_partition`](Self::score_partition), but a freshly
-    /// computed entry is *staged* in the claimed slot's L0 queue under
+    /// computed entry is *staged* in the claimed slot's queue under
     /// `seq` — the candidate's funding-order sequence number — instead of
     /// being inserted into the shared cache mid-batch. The engine
     /// publishes every staged entry in ascending `seq` order at the end
@@ -459,14 +443,7 @@ impl Engine {
         options: EvalOptions,
         hint: Option<(&EvalMemo, &PartitionDelta)>,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        self.score_partition_publish(
-            evaluator,
-            partition,
-            buffer,
-            options,
-            hint,
-            Publish::Deferred(seq),
-        )
+        self.score_partition_publish(evaluator, partition, buffer, options, hint, Some(seq))
     }
 
     fn score_partition_publish(
@@ -476,15 +453,19 @@ impl Engine {
         buffer: &BufferConfig,
         options: EvalOptions,
         hint: Option<(&EvalMemo, &PartitionDelta)>,
-        publish: Publish,
+        seq: Option<u64>,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
         self.scratch.with_slot(|arena| {
             let EvalArena {
                 layout,
                 dirty,
                 compose,
-                l0,
+                staged,
             } = arena;
+            let mut publish = match seq {
+                Some(seq) => Publish::Deferred(seq, staged),
+                None => Publish::Immediate,
+            };
             let usable = hint.filter(|(memo, delta)| {
                 !delta.is_all()
                     && delta.len() == partition.len()
@@ -499,7 +480,13 @@ impl Engine {
                 None => None,
             };
             self.score_inner(
-                evaluator, &view, buffer, options, reuse, compose, l0, publish,
+                evaluator,
+                &view,
+                buffer,
+                options,
+                reuse,
+                compose,
+                &mut publish,
             )
         })
     }
@@ -531,108 +518,51 @@ impl Engine {
         }
         let fp = NodeSetFp::of_members(members);
         let key = EvalKey::subgraph(evaluator.fingerprint(), fp, 0, buffer, options);
-        self.scratch.with_slot(|arena| {
-            let l0 = &mut arena.l0;
-            let term = match self.probe_subgraph(l0, &key) {
-                Some(term) => term,
-                None => match evaluator.subgraph_stats_keyed(fp, members) {
-                    Ok(stats) => {
-                        let term = self.compute_term(evaluator, &stats, 0, buffer, options);
-                        self.publish_subgraph(l0, Publish::Immediate, key, term);
-                        term
-                    }
-                    Err(_) => return ScoredEval::errored(buffer),
-                },
-            };
-            ScoredEval {
-                ema_bytes: term.ema_bytes,
-                energy_pj: term.energy_pj,
-                buffer_bytes: buffer.total_bytes(),
-                fits: term.fits,
-                error: false,
-            }
-        })
-    }
-
-    /// Probes the partition roll-up hierarchy: the slot's lock-free L0
-    /// first, then the shared shards (read-through: a shared hit is
-    /// copied into the L0 so the next probe from this slot pays no lock).
-    /// An L0 hit is credited to the shared hit counters — see
-    /// `EvalCache::record_l0_partition_hit` — plus the engine-local
-    /// `l0_hits`.
-    fn probe_partition(
-        &self,
-        l0: &mut L0Cache,
-        key: &EvalKey,
-    ) -> Option<(ScoredEval, Option<Arc<EvalMemo>>)> {
-        if let Some((cached, memo)) = l0.get_partition(key) {
-            self.cache.record_l0_partition_hit();
-            self.l0_hits.fetch_add(1, Ordering::Relaxed);
-            return Some((cached, memo));
+        let term = match self.cache.get_subgraph(&key) {
+            Some(term) => term,
+            None => match evaluator.subgraph_stats_keyed(fp, members) {
+                Ok(stats) => {
+                    let term = self.compute_term(evaluator, &stats, 0, buffer, options);
+                    self.cache.insert_subgraph(key, term);
+                    term
+                }
+                Err(_) => return ScoredEval::errored(buffer),
+            },
+        };
+        ScoredEval {
+            ema_bytes: term.ema_bytes,
+            energy_pj: term.energy_pj,
+            buffer_bytes: buffer.total_bytes(),
+            fits: term.fits,
+            error: false,
         }
-        let (cached, memo) = self.cache.get_memoized(key)?;
-        l0.put_partition(*key, cached, memo.clone());
-        Some((cached, memo))
-    }
-
-    /// Probes the subgraph-term hierarchy (L0 before shared, with
-    /// read-through; same accounting as
-    /// [`probe_partition`](Self::probe_partition)).
-    fn probe_subgraph(&self, l0: &mut L0Cache, key: &EvalKey) -> Option<SubgraphScore> {
-        if let Some(term) = l0.get_subgraph(key) {
-            self.cache.record_l0_subgraph_hit();
-            self.l0_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(term);
-        }
-        let term = self.cache.get_subgraph(key)?;
-        l0.put_subgraph(*key, term);
-        Some(term)
     }
 
     /// Publishes a freshly computed roll-up per `publish` policy: staged
     /// for the batch-end drain, or inserted into the shared cache right
-    /// away (plus the L0 as read-through).
+    /// away.
     fn publish_partition(
         &self,
-        l0: &mut L0Cache,
-        publish: Publish,
+        publish: &mut Publish<'_>,
         key: EvalKey,
         scored: ScoredEval,
         memo: Option<Arc<EvalMemo>>,
     ) {
         match publish {
-            Publish::Deferred(seq) => {
-                self.l0_publishes.fetch_add(1, Ordering::Relaxed);
-                l0.stage_partition(seq, key, scored, memo);
-            }
-            Publish::Immediate => {
-                l0.put_partition(key, scored, memo.clone());
-                self.cache.insert_memoized(key, scored, memo);
-            }
+            Publish::Deferred(seq, staged) => staged.partitions.push((*seq, key, scored, memo)),
+            Publish::Immediate => self.cache.insert_memoized(key, scored, memo),
         }
     }
 
     /// Publishes a freshly computed subgraph term per `publish` policy.
-    fn publish_subgraph(
-        &self,
-        l0: &mut L0Cache,
-        publish: Publish,
-        key: EvalKey,
-        term: SubgraphScore,
-    ) {
+    fn publish_subgraph(&self, publish: &mut Publish<'_>, key: EvalKey, term: SubgraphScore) {
         match publish {
-            Publish::Deferred(seq) => {
-                self.l0_publishes.fetch_add(1, Ordering::Relaxed);
-                l0.stage_subgraph(seq, key, term);
-            }
-            Publish::Immediate => {
-                l0.put_subgraph(key, term);
-                self.cache.insert_subgraph(key, term);
-            }
+            Publish::Deferred(seq, staged) => staged.subgraphs.push((*seq, key, term)),
+            Publish::Immediate => self.cache.insert_subgraph(key, term),
         }
     }
 
-    /// Derives the partition key, probes the cache hierarchy and, on a
+    /// Derives the partition key, probes the shared cache and, on a
     /// miss, composes the score from per-subgraph terms and publishes it
     /// per `publish`.
     #[allow(clippy::too_many_arguments)]
@@ -644,8 +574,7 @@ impl Engine {
         options: EvalOptions,
         reuse: Option<(&EvalMemo, &[bool])>,
         scratch: &mut ComposeScratch,
-        l0: &mut L0Cache,
-        publish: Publish,
+        publish: &mut Publish<'_>,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
         // Subgraph fingerprints: clean positions copy the memo's
         // incrementally maintained fingerprint in O(1); dirty (or
@@ -662,14 +591,14 @@ impl Engine {
             buffer,
             options,
         );
-        if let Some((cached, memo)) = self.probe_partition(l0, &key) {
+        if let Some((cached, memo)) = self.cache.get_memoized(&key) {
             self.note_stats_fallbacks(evaluator);
             return (cached, memo);
         }
         let (scored, memo) = self.compose(
-            evaluator, subgraphs, fps, buffer, options, reuse, scratch, l0, publish,
+            evaluator, subgraphs, fps, buffer, options, reuse, scratch, publish,
         );
-        self.publish_partition(l0, publish, key, scored, memo.clone());
+        self.publish_partition(publish, key, scored, memo.clone());
         self.note_stats_fallbacks(evaluator);
         (scored, memo)
     }
@@ -717,8 +646,7 @@ impl Engine {
         options: EvalOptions,
         reuse: Option<(&EvalMemo, &[bool])>,
         scratch: &mut ComposeScratch,
-        l0: &mut L0Cache,
-        publish: Publish,
+        publish: &mut Publish<'_>,
     ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
         // A layout built from a `Partition` never holds an empty subgraph;
         // an empty partition is the one structural error left.
@@ -775,7 +703,7 @@ impl Engine {
                         buffer,
                         options,
                     );
-                    match self.probe_subgraph(l0, &key) {
+                    match self.cache.get_subgraph(&key) {
                         Some(term) => term,
                         None => {
                             let stats = match scratch.stats_of[i] {
@@ -792,7 +720,7 @@ impl Engine {
                             };
                             let term =
                                 self.compute_term(evaluator, &stats, next_wgt, buffer, options);
-                            self.publish_subgraph(l0, publish, key, term);
+                            self.publish_subgraph(publish, key, term);
                             term
                         }
                     }
@@ -826,9 +754,10 @@ impl Engine {
     /// code calls this instead of timing `pool().run` itself, which is
     /// what lets the audit confine wall-clock reads to `cocco-telemetry`.
     ///
-    /// Jobs are claimed in units of [`chunk_len`] consecutive indices;
-    /// within a unit they run in index order, so a one-worker engine runs
-    /// the whole batch in index order on the caller.
+    /// Jobs are claimed in units of `ceil(jobs / (threads * 4))`
+    /// consecutive indices; within a unit they run in index order, so a
+    /// one-worker engine runs the whole batch in index order on the
+    /// caller.
     pub fn dispatch(&self, jobs: usize, job: impl Fn(usize) + Sync) {
         // Scratch growth across the batch (dispatch boundaries are
         // quiescent, so the slot sum is exact); warmed batches record 0.
@@ -848,7 +777,7 @@ impl Engine {
             }
         });
         // Batch-end quiescent point: publish every entry the jobs staged
-        // in their slots' L0 queues, in funding order.
+        // in their slots' queues, in funding order.
         self.drain_published();
         let nanos = sw.elapsed_nanos();
         self.wall_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -883,7 +812,7 @@ impl Engine {
         )
     }
 
-    /// Publishes every staged L0 entry to the shared cache, in ascending
+    /// Publishes every staged entry to the shared cache, in ascending
     /// funding-order sequence (ties — the entries of one job — keep
     /// their slot-local compute order, which is deterministic). Runs at
     /// the batch-end quiescent point of [`dispatch`](Self::dispatch);
@@ -949,11 +878,6 @@ impl Engine {
         m.set_gauge("engine.arena.bytes", self.scratch.bytes());
         m.set_counter("engine.arena.reuses", self.scratch.reuses());
         m.set_counter("engine.arena.grows", self.scratch.grows());
-        m.set_counter("engine.cache.l0_hits", self.l0_hits.load(Ordering::Relaxed));
-        m.set_counter(
-            "engine.cache.l0_publishes",
-            self.l0_publishes.load(Ordering::Relaxed),
-        );
         m.set_counter(
             "engine.pool.dispatched",
             self.dispatched.load(Ordering::Relaxed),
@@ -1422,12 +1346,11 @@ mod tests {
         for _ in 0..3 {
             let (again, memo) = repeated.score_partition(&eval, &p, &buffer, options, None);
             assert_eq!(again, first);
-            assert!(memo.is_some(), "L0 hits hand back the memo too");
+            assert!(memo.is_some(), "cache hits hand back the memo too");
         }
-        // Repeats are answered by the slot's L0 and change nothing the
-        // shared cache (or its snapshot) holds.
+        // Repeats are answered by the cached roll-up and change nothing
+        // the cache (or its snapshot) holds.
         let m = repeated.metrics();
-        assert_eq!(m.counter("engine.cache.l0_hits"), 2);
         assert_eq!(m.counter("engine.cache.partition.hits"), 2);
         assert_eq!(repeated.cache().snapshot(), once.cache().snapshot());
     }

@@ -71,7 +71,7 @@ mod pool;
 mod trace;
 
 pub use budget::{SampleBudget, SampleReservation};
-pub use cache::{eval_key, subgraph_key, CacheSnapshot, EvalCache, EvalKey, SNAPSHOT_VERSION};
+pub use cache::{CacheSnapshot, EvalCache, EvalKey, SNAPSHOT_VERSION};
 pub use config::{EngineConfig, ThreadCount};
 pub use engine::{DispatchPanic, Engine, EvalMemo, ScoredEval, SubgraphScore};
 pub use pool::EnginePool;

@@ -531,7 +531,7 @@ impl<'a> SearchContext<'a> {
         let results: Vec<Mutex<Option<TracePoint>>> =
             (0..jobs.len()).map(|_| Mutex::new(None)).collect();
         // The one batch pipeline: each job repairs its candidate, probes
-        // the L0/shared cache hierarchy and scores the misses; new cache
+        // the shared cache and scores the misses; new cache
         // entries are staged under the funding-order index `i` and
         // published in that order when the batch ends, so neither worker
         // scheduling nor an injected re-score reaches the shared cache.

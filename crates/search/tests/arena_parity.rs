@@ -3,7 +3,7 @@
 //! Drives seeded random mutation / repair / crossover walks through
 //! `SearchContext::evaluate_candidates` — the same operator shapes the GA
 //! uses, including incremental [`EvalHint`]s — and checks the production
-//! batch pipeline (flat layout arenas, delta scoring, worker-local caches,
+//! batch pipeline (flat layout arenas, delta scoring, the shared cache,
 //! deferred publication) against an oracle for **every** scored
 //! candidate: a fresh `Evaluator::eval_partition` of its repaired genome.
 //! Walks at 1 and 4 worker threads must also be

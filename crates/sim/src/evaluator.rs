@@ -93,8 +93,8 @@ pub struct Evaluator<'g> {
     stats_canon_fallbacks: AtomicU64,
     /// Shard-lock acquisitions that found the lock already held and had to
     /// block. Observation-only contention tripwire: results are identical
-    /// either way, but the engine's worker-local L0 caches exist to keep
-    /// warm-path probes off these locks.
+    /// either way; the engine's partition roll-up hits never derive
+    /// statistics, so repeat candidates stay off these locks.
     stats_lock_waits: AtomicU64,
     /// Fresh-derivation latency (`sim.subgraph_stats_ns`), recorded only
     /// on the miss path — the cached hit path (the engine's 47 ns leaf)
@@ -235,8 +235,8 @@ impl<'g> Evaluator<'g> {
 
     /// Statistics-cache shard-lock acquisitions that blocked on another
     /// thread. Purely observational — blocking changes wall-clock, never
-    /// results — and expected to stay near 0 once the engine's L0 caches
-    /// absorb warm probes before they reach this cache.
+    /// results — and expected to stay near 0 once the engine's roll-up
+    /// cache answers repeat candidates before they reach this cache.
     pub fn stats_lock_waits(&self) -> u64 {
         self.stats_lock_waits.load(Ordering::Relaxed)
     }

@@ -45,9 +45,6 @@
 //!   misses that had to sort an out-of-order member list; 0 in
 //!   production) and `engine.arena.bytes` / `.reuses` / `.grows`
 //!   (per-worker scoring scratch)
-//! - `engine.cache.l0_hits` / `.l0_publishes` (probes answered by a
-//!   worker's local cache, and entries staged for the funding-order
-//!   publication at batch end)
 //! - `search.step_ns` (span), `search.improvement` (event),
 //!   `search.budget.used` (gauge)
 //! - `sim.subgraph_stats_ns` (derivation latency on stats-cache misses)

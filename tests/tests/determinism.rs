@@ -3,6 +3,18 @@
 
 use cocco::prelude::*;
 
+/// Engine counters that depend only on the funding sequence: every batch
+/// probes the cache as it stood at the previous batch end, so hits,
+/// misses and memo reuses match at any thread count.
+const CACHE_COUNTERS: [&str; 6] = [
+    "engine.evals",
+    "engine.cache.partition.hits",
+    "engine.cache.partition.misses",
+    "engine.cache.subgraph.hits",
+    "engine.cache.subgraph.misses",
+    "engine.subgraph.reused",
+];
+
 #[test]
 fn ga_is_bit_identical_at_any_thread_count() {
     let g = cocco::graph::models::googlenet();
@@ -18,7 +30,15 @@ fn ga_is_bit_identical_at_any_thread_count() {
         .with_engine(EngineConfig::with_threads(threads));
         let ga = CoccoGa::default().with_population(40).with_seed(11);
         let out = ga.run(&ctx);
-        (out.best_cost, out.best, out.samples, ctx.trace().points())
+        let m = ctx.engine().metrics();
+        let counters = CACHE_COUNTERS.map(|name| m.counter(name));
+        (
+            out.best_cost,
+            out.best,
+            out.samples,
+            ctx.trace().points(),
+            counters,
+        )
     };
     let serial = run(1);
     for threads in [2, 4] {
@@ -27,6 +47,7 @@ fn ga_is_bit_identical_at_any_thread_count() {
         assert_eq!(serial.1, parallel.1, "best genome at {threads} threads");
         assert_eq!(serial.2, parallel.2, "samples at {threads} threads");
         assert_eq!(serial.3, parallel.3, "trace at {threads} threads");
+        assert_eq!(serial.4, parallel.4, "cache counters at {threads} threads");
     }
 }
 
