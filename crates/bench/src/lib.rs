@@ -16,10 +16,11 @@
 //! | `fig14_alpha` | Fig. 14 — α sensitivity |
 //! | `table3_multicore` | Table 3 — cores × batch |
 //!
-//! The `micro` binary (`src/bin/micro.rs`) times the hot paths and runs
-//! the engine's serial-vs-parallel comparison (writing `BENCH_engine.json`
-//! at the repository root); CI exercises it with
-//! `cargo run --release -p cocco-bench --bin micro -- --smoke`.
+//! The `micro` binary (`src/bin/micro.rs`) prints release-mode timings
+//! the repository benchmark (`perfbench/`) does not take: key build, pool
+//! dispatch overhead, cached-batch latency, the serial-vs-parallel GA wall
+//! time (at least 2× on hosts with 4 or more CPUs) and the telemetry
+//! ceiling on the cached-score leaf. It writes no file.
 //!
 //! Budgets are scaled down by default so `cargo bench` finishes quickly;
 //! set `COCCO_FULL=1` for paper-scale budgets (400 k partition samples,

@@ -9,7 +9,7 @@ use cocco_engine::{
 };
 use cocco_faults::{FaultPlan, FaultSite};
 use cocco_graph::{Graph, NodeId};
-use cocco_partition::{repair, repair_with_delta, Partition, PartitionDelta};
+use cocco_partition::{repair_with_delta, Partition, PartitionDelta};
 use cocco_sim::{BufferConfig, EvalOptions, Evaluator};
 use cocco_telemetry::Telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -335,14 +335,9 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Runs the full repair pipeline on `partition` for `buffer`
-    /// (connectivity, acyclicity, in-situ capacity splits).
-    pub fn repair(&self, partition: Partition, buffer: &BufferConfig) -> Partition {
-        repair(self.graph, partition, &|members| self.fits(members, buffer))
-    }
-
-    /// [`repair`](Self::repair), recording every membership change the
-    /// pipeline makes into `delta` (on top of whatever the caller already
-    /// marked).
+    /// (connectivity, acyclicity, in-situ capacity splits), recording every
+    /// membership change the pipeline makes into `delta` (on top of
+    /// whatever the caller already marked).
     pub fn repair_with_delta(
         &self,
         partition: Partition,
@@ -699,30 +694,6 @@ impl<'a> SearchContext<'a> {
             });
         }
         self.trace.record(point);
-    }
-
-    /// Evaluates an already-valid genome (no repair), consuming one budget
-    /// sample.
-    pub fn evaluate_valid(&self, genome: &Genome) -> Option<f64> {
-        let sample = self.budget.try_consume()?;
-        let (scored, _) = self.engine.score_partition(
-            self.evaluator,
-            &genome.partition,
-            &genome.buffer,
-            self.options,
-            None,
-        );
-        if scored.error {
-            self.trace.record_infeasible_error();
-        }
-        let cost = scored.cost(self.objective.metric, self.objective.alpha);
-        self.record_traced(TracePoint {
-            sample,
-            cost,
-            buffer_bytes: genome.buffer.total_bytes(),
-            metric_value: scored.metric(self.objective.metric),
-        });
-        Some(cost)
     }
 
     /// The additive Formula-1 term of a single subgraph under `buffer`

@@ -2,52 +2,72 @@
 //! under parallel fitness evaluation.
 
 use cocco::prelude::*;
-
-/// Engine counters that depend only on the funding sequence: every batch
-/// probes the cache as it stood at the previous batch end, so hits,
-/// misses and memo reuses match at any thread count.
-const CACHE_COUNTERS: [&str; 6] = [
-    "engine.evals",
-    "engine.cache.partition.hits",
-    "engine.cache.partition.misses",
-    "engine.cache.subgraph.hits",
-    "engine.cache.subgraph.misses",
-    "engine.subgraph.reused",
-];
+use cocco_tests::CACHE_COUNTERS;
 
 #[test]
 fn ga_is_bit_identical_at_any_thread_count() {
+    // Cost, genome, samples, trace, the persisted cache image and the
+    // funding-sequence counters must match the serial run at every worker
+    // count, and with a live telemetry sink (observation only). Every run
+    // must also keep the scoring hot path allocation-free and reuse its
+    // warmed layout arenas.
     let g = cocco::graph::models::googlenet();
     let eval = Evaluator::new(&g, AcceleratorConfig::default());
-    let run = |threads: u32| {
+    let run = |threads: u32, telemetry: Option<&Telemetry>| {
         let ctx = SearchContext::new(
             &g,
             &eval,
             BufferSpace::paper_shared(),
             Objective::paper_energy_capacity(),
             1_200,
-        )
-        .with_engine(EngineConfig::with_threads(threads));
+        );
+        let config = EngineConfig::with_threads(threads);
+        let ctx = match telemetry {
+            Some(t) => ctx.with_engine_telemetry(config, t),
+            None => ctx.with_engine(config),
+        };
         let ga = CoccoGa::default().with_population(40).with_seed(11);
         let out = ga.run(&ctx);
         let m = ctx.engine().metrics();
-        let counters = CACHE_COUNTERS.map(|name| m.counter(name));
+        let cell = format!("{threads} threads, telemetry {}", telemetry.is_some());
+        assert_eq!(
+            m.counter("engine.hot_allocs"),
+            0,
+            "hot allocations ({cell})"
+        );
+        assert!(
+            m.counter("engine.arena.reuses") > 0,
+            "no arena reuse ({cell})"
+        );
+        assert!(
+            m.counter("engine.cache.partition.hits") > 0,
+            "never hit the eval cache ({cell})"
+        );
+        assert!(
+            m.counter("engine.subgraph.reused") > 0,
+            "offspring never reused a memoized subgraph term ({cell})"
+        );
         (
             out.best_cost,
             out.best,
             out.samples,
             ctx.trace().points(),
-            counters,
+            CACHE_COUNTERS.map(|name| m.counter(name)),
+            ctx.engine().cache().snapshot(),
         )
     };
-    let serial = run(1);
-    for threads in [2, 4] {
-        let parallel = run(threads);
-        assert_eq!(serial.0, parallel.0, "best cost at {threads} threads");
-        assert_eq!(serial.1, parallel.1, "best genome at {threads} threads");
-        assert_eq!(serial.2, parallel.2, "samples at {threads} threads");
-        assert_eq!(serial.3, parallel.3, "trace at {threads} threads");
-        assert_eq!(serial.4, parallel.4, "cache counters at {threads} threads");
+    let serial = run(1, None);
+    let telemetry = Telemetry::enabled();
+    let cells = [2, 4, 8].map(|threads| (threads, None));
+    for (threads, telemetry) in cells.into_iter().chain([(4, Some(&telemetry))]) {
+        let cell = format!("{threads} threads, telemetry {}", telemetry.is_some());
+        let parallel = run(threads, telemetry);
+        assert_eq!(serial.0, parallel.0, "best cost ({cell})");
+        assert_eq!(serial.1, parallel.1, "best genome ({cell})");
+        assert_eq!(serial.2, parallel.2, "samples ({cell})");
+        assert_eq!(serial.3, parallel.3, "trace ({cell})");
+        assert_eq!(serial.4, parallel.4, "cache counters ({cell})");
+        assert_eq!(serial.5, parallel.5, "cache snapshot ({cell})");
     }
 }
 

@@ -48,6 +48,64 @@ fn two_step_inner_runs_share_the_engine_cache() {
 }
 
 #[test]
+fn interleaved_two_step_reuses_more_statistics_than_sequential() {
+    // The interleaved scheme batches every inner GA into shared engine
+    // dispatches and migrates elites across capacity candidates. Subgraph
+    // statistics are buffer-independent, so migrated elites hit the
+    // evaluator's stats cache: its hit rate must be strictly higher than
+    // the sequential baseline's, with no extra derivations, at the same
+    // budget, candidate count and seeds.
+    let model = cocco::graph::models::resnet50();
+    let budget = 600;
+    let run = |method: TwoStep, threads: u32| {
+        let evaluator = Evaluator::new(&model, AcceleratorConfig::default());
+        let ctx = SearchContext::new(
+            &model,
+            &evaluator,
+            BufferSpace::paper_shared(),
+            Objective::paper_energy_capacity(),
+            budget,
+        )
+        .with_engine(EngineConfig::with_threads(threads));
+        let cost = method.run(&ctx).best_cost;
+        (
+            cost,
+            evaluator.stats_cache_hit_rate(),
+            evaluator.stats_cache_misses(),
+        )
+    };
+    // A small inner population: each capacity candidate runs several
+    // generations within its slice, so elite migration has rounds to act
+    // across (with one or two generations per candidate the two arms
+    // barely differ).
+    let interleaved = TwoStep {
+        sampling: CapacitySampling::Random,
+        per_candidate: budget / 4,
+        ga: GaConfig {
+            population: 24,
+            ..GaConfig::default()
+        },
+        seed: 29,
+        interleave: true,
+    };
+    for threads in [1, 8] {
+        let (seq_cost, seq_hit_rate, seq_misses) = run(interleaved.clone().sequential(), threads);
+        let (int_cost, int_hit_rate, int_misses) = run(interleaved.clone(), threads);
+        assert!(seq_cost.is_finite() && int_cost.is_finite());
+        assert!(
+            int_hit_rate > seq_hit_rate,
+            "{threads} threads: interleaved stats-cache hit rate {int_hit_rate:.6} must be \
+             strictly higher than sequential {seq_hit_rate:.6}"
+        );
+        assert!(
+            int_misses <= seq_misses,
+            "{threads} threads: interleaved derived {int_misses} statistics, sequential \
+             {seq_misses}"
+        );
+    }
+}
+
+#[test]
 fn engine_stats_round_trip_through_json() {
     let result = explore(SearchMethod::ga(), 2, 300);
     let json = serde_json::to_string(&result).unwrap();

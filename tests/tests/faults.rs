@@ -6,6 +6,11 @@
 
 use cocco::prelude::*;
 
+/// Worker counts every facade fault scenario runs at: fault draws happen
+/// in the serial funding-order section, so each outcome must match across
+/// them.
+const THREADS: [u32; 3] = [1, 2, 8];
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("cocco-faults-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -27,10 +32,11 @@ fn stale_temps(dir: &std::path::Path) -> Vec<String> {
 fn transparent_faults_complete_bit_identically() {
     let dir = temp_dir("transparent");
     let model = cocco::graph::models::googlenet();
-    let session = |faults: FaultPlan, tag: &str| {
+    let session = |threads: u32, faults: FaultPlan, tag: &str| {
         Cocco::new()
             .with_budget(300)
             .with_seed(5)
+            .with_engine(EngineConfig::with_threads(threads))
             .with_cache_file(dir.join(format!("{tag}.cache.json")))
             .with_checkpoint_file(dir.join(format!("{tag}.ckpt.json")))
             .with_checkpoint_every(1)
@@ -38,32 +44,46 @@ fn transparent_faults_complete_bit_identically() {
             .explore(&model)
             .unwrap()
     };
-    let plain = session(FaultPlan::disabled(), "plain");
+    let plain = session(1, FaultPlan::disabled(), "plain");
     // Transient evaluator errors (re-scored) and save-path faults
     // (bounded retry) are transparent: same cost, genome and trace.
     let rates = FaultRates::none()
         .with(FaultSite::EvalError, 0.2)
         .with(FaultSite::SaveWrite, 0.2)
         .with(FaultSite::SaveTorn, 0.1);
-    let plan = FaultPlan::seeded(11, rates);
-    let faulty = session(plan.clone(), "faulty");
-    assert_eq!(plain.cost, faulty.cost);
-    assert_eq!(plain.genome, faulty.genome);
-    assert_eq!(plain.trace, faulty.trace);
-    assert_eq!(plain.samples, faulty.samples);
-    // Re-scores and retried saves publish through the same funding-order
-    // path: the persisted caches are byte-identical too.
-    assert_eq!(
-        std::fs::read(dir.join("plain.cache.json")).unwrap(),
-        std::fs::read(dir.join("faulty.cache.json")).unwrap(),
-        "the faulty run's cache file drifted"
-    );
-    let health = plan.health();
-    assert!(
-        health.faults_seen() > 0,
-        "the plan must actually have fired"
-    );
-    assert!(health.eval_rescores > 0, "eval faults must be re-scored");
+    for threads in THREADS {
+        let tag = format!("faulty-{threads}");
+        let plan = FaultPlan::seeded(11, rates);
+        let faulty = session(threads, plan.clone(), &tag);
+        assert_eq!(plain.cost, faulty.cost, "cost at {threads} threads");
+        assert_eq!(plain.genome, faulty.genome, "genome at {threads} threads");
+        assert_eq!(plain.trace, faulty.trace, "trace at {threads} threads");
+        assert_eq!(
+            plain.samples, faulty.samples,
+            "samples at {threads} threads"
+        );
+        assert_eq!(
+            faulty.trace.len() as u64,
+            faulty.samples,
+            "stranded samples at {threads} threads"
+        );
+        // Re-scores and retried saves publish through the same
+        // funding-order path: the persisted caches are byte-identical too.
+        assert_eq!(
+            std::fs::read(dir.join("plain.cache.json")).unwrap(),
+            std::fs::read(dir.join(format!("{tag}.cache.json"))).unwrap(),
+            "the faulty run's cache file drifted at {threads} threads"
+        );
+        let health = plan.health();
+        assert!(
+            health.faults_seen() > 0,
+            "the plan must actually have fired at {threads} threads"
+        );
+        assert!(
+            health.eval_rescores > 0,
+            "eval faults must be re-scored at {threads} threads"
+        );
+    }
     assert!(
         stale_temps(&dir).is_empty(),
         "injected save failures must not leak temp files: {:?}",
@@ -76,54 +96,71 @@ fn transparent_faults_complete_bit_identically() {
 fn worker_panic_degrades_to_structured_error_with_salvage() {
     let dir = temp_dir("panic");
     let model = cocco::graph::models::googlenet();
-    let ckpt = dir.join("run.ckpt.json");
     // A panic rate low enough that the search completes a few
     // generations first (seeded, so the failing step is deterministic).
     let rates = FaultRates::none().with(FaultSite::WorkerPanic, 0.002);
-    let plan = FaultPlan::seeded(2, rates);
-    let err = Cocco::new()
-        .with_budget(2_000)
-        .with_seed(9)
-        .with_checkpoint_file(&ckpt)
-        .with_checkpoint_every(1)
-        .with_faults(plan.clone())
-        .explore(&model)
-        .unwrap_err();
-    let Error::WorkerPanic { message, salvage } = err else {
-        panic!("expected WorkerPanic, got {err}");
-    };
-    assert!(message.contains("injected worker panic"), "{message}");
-    let salvage = salvage.expect("generations before the fault produce a best-so-far");
-    assert!(salvage.cost.is_finite());
-    assert!(salvage.genome.partition.validate(&model).is_ok());
-    assert!(salvage.samples > 0);
-    let health = plan.health();
-    assert!(health.is_degraded());
-    assert_eq!(health.quarantined_batches, 1);
-    assert!(
-        health.refunded_samples > 0,
-        "quarantined funding must be refunded"
-    );
-    // The last between-steps checkpoint stays behind so the run can
-    // resume; resuming with faults disarmed completes cleanly.
-    assert!(ckpt.exists(), "an aborted run must keep its checkpoint");
-    let resumed = Cocco::new()
-        .with_budget(2_000)
-        .with_seed(9)
-        .with_checkpoint_file(&ckpt)
-        .explore(&model)
-        .unwrap();
-    assert!(resumed.cost.is_finite());
-    assert!(
-        resumed.cost <= salvage.cost,
-        "resume continues from salvaged progress"
-    );
-    assert_eq!(
-        resumed.trace.len() as u64,
-        resumed.samples,
-        "no stranded samples"
-    );
-    assert!(!ckpt.exists(), "a completed resume removes the checkpoint");
+    let salvages = THREADS.map(|threads| {
+        let ckpt = dir.join(format!("run-{threads}.ckpt.json"));
+        let plan = FaultPlan::seeded(2, rates);
+        let session = || {
+            Cocco::new()
+                .with_budget(2_000)
+                .with_seed(9)
+                .with_engine(EngineConfig::with_threads(threads))
+                .with_checkpoint_file(&ckpt)
+        };
+        let err = session()
+            .with_checkpoint_every(1)
+            .with_faults(plan.clone())
+            .explore(&model)
+            .unwrap_err();
+        let Error::WorkerPanic { message, salvage } = err else {
+            panic!("expected WorkerPanic at {threads} threads, got {err}");
+        };
+        assert!(message.contains("injected worker panic"), "{message}");
+        let salvage = salvage.expect("generations before the fault produce a best-so-far");
+        assert!(salvage.cost.is_finite());
+        assert!(salvage.genome.partition.validate(&model).is_ok());
+        assert!(salvage.samples > 0);
+        let health = plan.health();
+        assert!(health.is_degraded());
+        assert_eq!(
+            health.quarantined_batches, 1,
+            "the panicked batch must be quarantined at {threads} threads"
+        );
+        assert!(
+            health.refunded_samples > 0,
+            "quarantined funding must be refunded at {threads} threads"
+        );
+        // The last between-steps checkpoint stays behind so the run can
+        // resume; resuming with faults disarmed completes cleanly.
+        assert!(
+            ckpt.exists(),
+            "an aborted run must keep its checkpoint at {threads} threads"
+        );
+        let resumed = session().explore(&model).unwrap();
+        assert!(resumed.cost.is_finite());
+        assert!(
+            resumed.cost <= salvage.cost,
+            "resume continues from salvaged progress at {threads} threads"
+        );
+        assert_eq!(
+            resumed.trace.len() as u64,
+            resumed.samples,
+            "no stranded samples after resume at {threads} threads"
+        );
+        assert!(
+            !ckpt.exists(),
+            "a completed resume removes the checkpoint at {threads} threads"
+        );
+        (salvage.cost, salvage.samples)
+    });
+    for (threads, salvage) in THREADS.iter().zip(salvages) {
+        assert_eq!(
+            salvages[0], salvage,
+            "salvaged cost and samples drifted at {threads} threads"
+        );
+    }
     assert!(stale_temps(&dir).is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -132,27 +169,37 @@ fn worker_panic_degrades_to_structured_error_with_salvage() {
 fn budget_revocation_degrades_but_completes() {
     let model = cocco::graph::models::diamond();
     let rates = FaultRates::none().with(FaultSite::BudgetRevoke, 0.05);
-    let plan = FaultPlan::seeded(4, rates);
-    let result = Cocco::new()
-        .with_budget(5_000)
-        .with_seed(3)
-        .with_faults(plan.clone())
-        .explore(&model)
-        .unwrap();
-    assert!(result.cost.is_finite());
-    assert!(
-        result.samples < 5_000,
-        "a revoked budget must cut the run short ({} samples)",
-        result.samples
-    );
-    assert_eq!(
-        result.trace.len() as u64,
-        result.samples,
-        "no stranded samples"
-    );
-    assert!(result.is_degraded());
-    assert_eq!(result.health.budget_revocations, 1);
-    assert_eq!(result.health, plan.health());
+    let outcomes = THREADS.map(|threads| {
+        let plan = FaultPlan::seeded(4, rates);
+        let result = Cocco::new()
+            .with_budget(5_000)
+            .with_seed(3)
+            .with_engine(EngineConfig::with_threads(threads))
+            .with_faults(plan.clone())
+            .explore(&model)
+            .unwrap();
+        assert!(result.cost.is_finite());
+        assert!(
+            result.samples < 5_000,
+            "a revoked budget must cut the run short ({} samples at {threads} threads)",
+            result.samples
+        );
+        assert_eq!(
+            result.trace.len() as u64,
+            result.samples,
+            "no stranded samples at {threads} threads"
+        );
+        assert!(result.is_degraded());
+        assert_eq!(result.health.budget_revocations, 1);
+        assert_eq!(result.health, plan.health());
+        (result.cost, result.samples)
+    });
+    for (threads, outcome) in THREADS.iter().zip(outcomes) {
+        assert_eq!(
+            outcomes[0], outcome,
+            "revoked cost and samples drifted at {threads} threads"
+        );
+    }
 }
 
 #[test]

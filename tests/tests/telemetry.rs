@@ -3,18 +3,15 @@
 //! at any thread count (ISSUE: the zero-perturbation guarantee).
 
 use cocco::prelude::*;
+use cocco_tests::CACHE_COUNTERS;
 
-/// Serializes an exploration with its volatile engine metrics cleared:
-/// wall time and thread count differ run to run by construction, and the
-/// cache-hit counters are scheduling-dependent at >1 threads. Everything
-/// else — genome, report, cost, samples, trace, error counter — must be
-/// bit-identical.
-fn normalized_json(mut exploration: Exploration) -> String {
-    exploration.metrics = MetricsSnapshot::default();
-    serde_json::to_string(&exploration).expect("exploration serializes")
-}
-
-fn run(method: SearchMethod, threads: u32, telemetry: Option<&Telemetry>) -> String {
+/// One seeded exploration: its funding-sequence counters, and its JSON
+/// document with the engine metrics cleared. The cleared metrics hold
+/// wall times, the thread count and pool and arena counters, which differ
+/// run to run by construction; the counters that must not differ are
+/// returned and compared on their own. Everything else — genome, report,
+/// cost, samples, trace, error counter — must be bit-identical.
+fn run(method: SearchMethod, threads: u32, telemetry: Option<&Telemetry>) -> ([u64; 6], String) {
     let model = cocco::graph::models::googlenet();
     let mut session = Cocco::new()
         .with_method(method)
@@ -24,7 +21,11 @@ fn run(method: SearchMethod, threads: u32, telemetry: Option<&Telemetry>) -> Str
     if let Some(t) = telemetry {
         session = session.with_telemetry(t.clone());
     }
-    normalized_json(session.explore(&model).expect("exploration succeeds"))
+    let mut exploration = session.explore(&model).expect("exploration succeeds");
+    let counters = CACHE_COUNTERS.map(|name| exploration.metrics.counter(name));
+    exploration.metrics = MetricsSnapshot::default();
+    let json = serde_json::to_string(&exploration).expect("exploration serializes");
+    (counters, json)
 }
 
 #[test]
@@ -39,13 +40,21 @@ fn seeded_runs_are_byte_identical_with_telemetry_on_off_across_threads() {
         for threads in [1u32, 4] {
             let plain = run(method.clone(), threads, None);
             assert_eq!(
-                baseline, plain,
+                baseline.0, plain.0,
+                "{name}: plain run's cache counters differ at {threads} threads"
+            );
+            assert_eq!(
+                baseline.1, plain.1,
                 "{name}: plain run differs at {threads} threads"
             );
             let telemetry = Telemetry::enabled();
             let observed = run(method.clone(), threads, Some(&telemetry));
             assert_eq!(
-                baseline, observed,
+                baseline.0, observed.0,
+                "{name}: telemetry changed the cache counters at {threads} threads"
+            );
+            assert_eq!(
+                baseline.1, observed.1,
                 "{name}: telemetry perturbed the run at {threads} threads"
             );
             // The sink really was live during the identical run.
