@@ -2,6 +2,7 @@
 //! incremental evaluation path consumes.
 
 use crate::partition::Partition;
+use crate::quotient::compact_ids;
 use cocco_graph::NodeId;
 
 /// Records which **nodes** of a partition had their subgraph membership
@@ -147,22 +148,12 @@ impl PartitionDelta {
             partition.len(),
             "delta does not cover the partition"
         );
-        let assignment = partition.assignment();
-        let max = assignment.iter().copied().max().map_or(0, |m| m as usize);
-        // Mirror Partition::subgraphs(): per id, (has members, is dirty),
-        // then keep the flags of non-empty ids in id order.
-        let mut populated = vec![false; max + 1];
-        let mut dirty = vec![false; max + 1];
-        for (i, &a) in assignment.iter().enumerate() {
-            populated[a as usize] = true;
-            dirty[a as usize] |= self.dirty[i];
+        let (originals, compact) = compact_ids(partition.assignment());
+        let mut dirty = vec![false; originals.len()];
+        for (&c, &d) in compact.iter().zip(&self.dirty) {
+            dirty[c as usize] |= d;
         }
-        populated
-            .into_iter()
-            .zip(dirty)
-            .filter(|(p, _)| *p)
-            .map(|(_, d)| d)
-            .collect()
+        dirty
     }
 }
 
@@ -216,5 +207,10 @@ mod tests {
         assert_eq!(delta.dirty_subgraphs(&p), vec![false, true]);
         delta.touch(NodeId::from_index(1)); // member of subgraph 2
         assert_eq!(delta.dirty_subgraphs(&p), vec![true, true]);
+        // An id near the top of the range must not size an allocation.
+        let p = Partition::from_assignment(vec![u32::MAX - 1, 2, 2, u32::MAX - 1]);
+        let mut delta = PartitionDelta::clean(4);
+        delta.touch(NodeId::from_index(3));
+        assert_eq!(delta.dirty_subgraphs(&p), vec![false, true]);
     }
 }

@@ -10,11 +10,11 @@
 //!   (otherwise the grouping is meaningless).
 //!
 //! [`Partition`] stores the assignment, [`Quotient`] exposes the contracted
-//! DAG (with SCC computation for repair), and [`repair`] restores validity
-//! after arbitrary mutations: split subgraphs into connected components,
-//! merge quotient SCCs (which preserves connectivity), then split any
-//! subgraph that exceeds the buffer via the paper's in-situ
-//! `split-subgraph` (§4.4.4).
+//! DAG (a flat CSR adjacency, with SCC computation for repair), and
+//! [`repair`] restores validity after arbitrary mutations: split subgraphs
+//! into connected components, merge quotient SCCs (which preserves
+//! connectivity), then split any subgraph that exceeds the buffer via the
+//! paper's in-situ `split-subgraph` (§4.4.4).
 
 mod delta;
 mod error;

@@ -1,7 +1,7 @@
 //! The partition type.
 
 use crate::error::PartitionError;
-use crate::quotient::Quotient;
+use crate::quotient::{compact_ids, relabel_in_order, Quotient};
 use cocco_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -172,15 +172,15 @@ impl Partition {
     /// — call [`canonicalize`](Partition::canonicalize) first). Members are
     /// ascending, i.e. topologically ordered.
     pub fn subgraphs(&self) -> Vec<Vec<NodeId>> {
-        let mut max = 0u32;
-        for &a in &self.assignment {
-            max = max.max(a);
+        let (originals, compact) = compact_ids(&self.assignment);
+        let mut sizes = vec![0usize; originals.len()];
+        for &c in &compact {
+            sizes[c as usize] += 1;
         }
-        let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); max as usize + 1];
-        for (i, &a) in self.assignment.iter().enumerate() {
-            out[a as usize].push(NodeId::from_index(i));
+        let mut out: Vec<Vec<NodeId>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (i, &c) in compact.iter().enumerate() {
+            out[c as usize].push(NodeId::from_index(i));
         }
-        out.retain(|v| !v.is_empty());
         out
     }
 
@@ -189,26 +189,13 @@ impl Partition {
     /// if the quotient is cyclic (ids are then left compacted but
     /// order-free).
     pub fn canonicalize(&mut self, graph: &Graph) -> bool {
-        let quotient = Quotient::build(graph, self);
-        match quotient.topo_order() {
-            Some(order) => {
-                // order[i] = old id of the i-th subgraph to execute.
-                let mut remap = vec![u32::MAX; quotient.num_subgraphs()];
-                for (new_id, &old) in order.iter().enumerate() {
-                    remap[old as usize] = new_id as u32;
-                }
-                for a in &mut self.assignment {
-                    *a = remap[quotient.compact_id(*a) as usize];
-                }
-                true
-            }
-            None => {
-                for a in &mut self.assignment {
-                    *a = quotient.compact_id(*a);
-                }
-                false
-            }
+        let (quotient, mut compact) = Quotient::build_compact(graph, self);
+        let order = quotient.topo_order();
+        if let Some(order) = &order {
+            relabel_in_order(&mut compact, order);
         }
+        self.assignment = compact;
+        order.is_some()
     }
 
     /// Checks validity: connectivity of every subgraph and acyclicity of
@@ -316,6 +303,16 @@ mod tests {
         for members in p.subgraphs() {
             assert!(members.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn subgraphs_follow_id_order_with_sparse_ids() {
+        // The largest id would need a ~16 GiB id-indexed table; members
+        // are grouped through the distinct ids instead.
+        let p = Partition::from_assignment(vec![u32::MAX - 1, 4, u32::MAX - 1, 4, 0]);
+        let ids = |v: &[usize]| v.iter().map(|&i| NodeId::from_index(i)).collect::<Vec<_>>();
+        assert_eq!(p.subgraphs(), vec![ids(&[4]), ids(&[1, 3]), ids(&[0, 2])]);
+        assert_eq!(p.num_subgraphs(), 3);
     }
 
     #[test]

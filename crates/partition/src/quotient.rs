@@ -1,7 +1,7 @@
 //! The quotient DAG obtained by contracting each subgraph to one vertex.
 
 use crate::partition::Partition;
-use cocco_graph::Graph;
+use cocco_graph::{Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -24,11 +24,44 @@ use std::collections::BinaryHeap;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Quotient {
-    /// compact id per original id, indexed via binary search over originals.
+    /// Original subgraph id per compact id, ascending.
     originals: Vec<u32>,
-    succs: Vec<Vec<u32>>,
-    preds: Vec<Vec<u32>>,
+    /// CSR adjacency: the successors of compact id `c` are
+    /// `succs[succ_off[c]..succ_off[c + 1]]`, ascending and deduplicated;
+    /// `preds`/`pred_off` mirror it for predecessors.
+    succ_off: Vec<u32>,
+    succs: Vec<u32>,
+    pred_off: Vec<u32>,
+    preds: Vec<u32>,
+    /// Smallest member node per compact id (the topological tie-break).
     min_member: Vec<u32>,
+}
+
+/// Renumbers subgraph ids densely, preserving id order: returns the
+/// ascending distinct ids and each node's index into them. The ids are
+/// sorted and deduplicated, so no allocation is ever sized by the largest
+/// id.
+pub(crate) fn compact_ids(assignment: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut originals = assignment.to_vec();
+    originals.sort_unstable();
+    originals.dedup();
+    let compact = assignment
+        .iter()
+        // Every id is in `originals`, so the search always hits.
+        .map(|a| originals.binary_search(a).unwrap_or_else(|i| i) as u32)
+        .collect();
+    (originals, compact)
+}
+
+/// Rewrites dense labels into canonical ids: label `order[i]` becomes `i`.
+pub(crate) fn relabel_in_order(labels: &mut [u32], order: &[u32]) {
+    let mut rank = vec![0u32; order.len()];
+    for (i, &c) in order.iter().enumerate() {
+        rank[c as usize] = i as u32;
+    }
+    for l in labels.iter_mut() {
+        *l = rank[*l as usize];
+    }
 }
 
 impl Quotient {
@@ -38,43 +71,69 @@ impl Quotient {
     ///
     /// Panics if the partition length does not match the graph.
     pub fn build(graph: &Graph, partition: &Partition) -> Self {
+        Self::build_compact(graph, partition).0
+    }
+
+    /// [`build`](Quotient::build), also returning each node's compact
+    /// subgraph id.
+    pub(crate) fn build_compact(graph: &Graph, partition: &Partition) -> (Self, Vec<u32>) {
         assert_eq!(
             partition.len(),
             graph.len(),
             "partition does not cover the graph"
         );
-        let mut originals: Vec<u32> = partition.assignment().to_vec();
-        originals.sort_unstable();
-        originals.dedup();
+        let (originals, compact) = compact_ids(partition.assignment());
+        (Self::from_compact(graph, &compact, originals), compact)
+    }
+
+    /// Contracts the dense labelling `compact` (node -> `0..originals.len()`,
+    /// every label used) whose label `c` stands for subgraph
+    /// `originals[c]`.
+    pub(crate) fn from_compact(graph: &Graph, compact: &[u32], originals: Vec<u32>) -> Self {
         let k = originals.len();
-        let compact = |orig: u32| -> u32 {
-            // cocco-audit: allow(R1) originals is the sorted-deduped image of the same assignment the ids come from
-            originals.binary_search(&orig).expect("id exists") as u32
-        };
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); k];
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut min_member = vec![u32::MAX; k];
-        for (i, &a) in partition.assignment().iter().enumerate() {
-            let c = compact(a) as usize;
-            min_member[c] = min_member[c].min(i as u32);
-        }
-        for id in graph.node_ids() {
-            let from = compact(partition.subgraph_of(id));
-            for &cons in graph.consumers(id) {
-                let to = compact(partition.subgraph_of(cons));
+        // One packed `from << 32 | to` key per cut edge; sorting groups
+        // them by source with ascending targets, and dedup drops parallel
+        // edges, which leaves the successor CSR in place.
+        let mut edges: Vec<u64> = Vec::new();
+        for (u, &from) in compact.iter().enumerate() {
+            if min_member[from as usize] == u32::MAX {
+                min_member[from as usize] = u as u32;
+            }
+            for &v in graph.consumers(NodeId::from_index(u)) {
+                let to = compact[v.index()];
                 if from != to {
-                    succs[from as usize].push(to);
-                    preds[to as usize].push(from);
+                    edges.push(u64::from(from) << 32 | u64::from(to));
                 }
             }
         }
-        for v in succs.iter_mut().chain(preds.iter_mut()) {
-            v.sort_unstable();
-            v.dedup();
+        edges.sort_unstable();
+        edges.dedup();
+        let mut succ_off = vec![0u32; k + 1];
+        let mut pred_off = vec![0u32; k + 1];
+        for &e in &edges {
+            succ_off[(e >> 32) as usize + 1] += 1;
+            pred_off[(e as u32) as usize + 1] += 1;
+        }
+        for c in 0..k {
+            succ_off[c + 1] += succ_off[c];
+            pred_off[c + 1] += pred_off[c];
+        }
+        let succs = edges.iter().map(|&e| e as u32).collect();
+        // Scattering edges in (from, to) order fills each predecessor
+        // list in ascending order, so no second sort is needed.
+        let mut preds = vec![0u32; edges.len()];
+        let mut cursor = pred_off.clone();
+        for &e in &edges {
+            let to = e as u32 as usize;
+            preds[cursor[to] as usize] = (e >> 32) as u32;
+            cursor[to] += 1;
         }
         Self {
             originals,
+            succ_off,
             succs,
+            pred_off,
             preds,
             min_member,
         }
@@ -97,14 +156,16 @@ impl Quotient {
             .expect("unknown subgraph id") as u32
     }
 
-    /// Successor subgraphs of compact id `id`.
+    /// Successor subgraphs of compact id `id`, ascending.
     pub fn succs(&self, id: u32) -> &[u32] {
-        &self.succs[id as usize]
+        let c = id as usize;
+        &self.succs[self.succ_off[c] as usize..self.succ_off[c + 1] as usize]
     }
 
-    /// Predecessor subgraphs of compact id `id`.
+    /// Predecessor subgraphs of compact id `id`, ascending.
     pub fn preds(&self, id: u32) -> &[u32] {
-        &self.preds[id as usize]
+        let c = id as usize;
+        &self.preds[self.pred_off[c] as usize..self.pred_off[c + 1] as usize]
     }
 
     /// Kahn topological order over compact ids (ties broken by smallest
@@ -112,7 +173,7 @@ impl Quotient {
     /// the quotient is cyclic.
     pub fn topo_order(&self) -> Option<Vec<u32>> {
         let k = self.num_subgraphs();
-        let mut indegree: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut indegree: Vec<u32> = self.pred_off.windows(2).map(|w| w[1] - w[0]).collect();
         let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
         for (id, &d) in indegree.iter().enumerate() {
             if d == 0 {
@@ -122,7 +183,7 @@ impl Quotient {
         let mut order = Vec::with_capacity(k);
         while let Some(Reverse((_, id))) = heap.pop() {
             order.push(id);
-            for &s in &self.succs[id as usize] {
+            for &s in self.succs(id) {
                 indegree[s as usize] -= 1;
                 if indegree[s as usize] == 0 {
                     heap.push(Reverse((self.min_member[s as usize], s)));
@@ -155,8 +216,9 @@ impl Quotient {
             stack.push(start);
             on_stack[start as usize] = true;
             while let Some(&mut (v, ref mut child)) = call.last_mut() {
-                if *child < self.succs[v as usize].len() {
-                    let w = self.succs[v as usize][*child];
+                let succs = self.succs(v);
+                if *child < succs.len() {
+                    let w = succs[*child];
                     *child += 1;
                     if index[w as usize] == u32::MAX {
                         index[w as usize] = next_index;
@@ -237,6 +299,14 @@ mod tests {
         assert_eq!(q.num_subgraphs(), 2);
         assert_eq!(q.compact_id(10), 0);
         assert_eq!(q.compact_id(99), 1);
+        // Ids near the top of the range compact without an id-sized table.
+        let p = Partition::from_assignment(vec![u32::MAX - 1, 7, 7]);
+        let q = Quotient::build(&g, &p);
+        assert_eq!(q.num_subgraphs(), 2);
+        assert_eq!(q.compact_id(7), 0);
+        assert_eq!(q.compact_id(u32::MAX - 1), 1);
+        assert_eq!(q.succs(1), &[0]);
+        assert_eq!(q.preds(0), &[1]);
     }
 
     #[test]

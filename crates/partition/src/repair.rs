@@ -1,17 +1,31 @@
 //! Validity repair: connectivity splits, SCC merges and in-situ capacity
 //! splits (paper §4.4.4).
 //!
-//! Every pass exists in two flavours: the plain entry points
-//! ([`repair`], [`repair_connectivity`], [`split_oversized`]) and
-//! `*_with_delta` variants that additionally record, into a
-//! [`PartitionDelta`], every node whose subgraph *membership set* the pass
-//! changed — the change record the incremental evaluation path uses to
-//! re-score only touched subgraphs. Renumbering alone (canonicalization)
-//! emits no dirt: node-level deltas survive id remapping by construction.
+//! Every entry point ([`repair`], [`repair_connectivity`],
+//! [`split_oversized`] and their `*_with_delta` forms) runs one pipeline
+//! over every subgraph of any input assignment:
+//!
+//! - **Connectivity.** Each pass splits subgraphs into weakly-connected
+//!   components and builds one flat quotient. When its Kahn order is
+//!   complete, that order is the canonical execution order; otherwise
+//!   each quotient SCC is merged and the next pass re-splits only the
+//!   merged subgraphs.
+//! - **Capacity.** Every multi-node subgraph is probed against `fits`
+//!   once; a failing one is halved along its topological member order,
+//!   and each half's components go back on a worklist, with no further
+//!   whole-graph pass.
+//!
+//! The repair records, into a [`PartitionDelta`], every node whose
+//! subgraph *member set* it changed — the change record the incremental
+//! evaluation path uses to re-score only touched subgraphs. The delta is
+//! output only: nodes the caller already marked stay marked, and no
+//! subgraph is skipped because it is clean. Renumbering alone
+//! (canonicalization) emits no dirt: node-level deltas survive id
+//! remapping by construction.
 
 use crate::delta::PartitionDelta;
 use crate::partition::Partition;
-use crate::quotient::Quotient;
+use crate::quotient::{compact_ids, relabel_in_order, Quotient};
 use cocco_graph::{Graph, NodeId};
 
 /// Restores connectivity and acyclicity after arbitrary assignment edits:
@@ -20,9 +34,7 @@ use cocco_graph::{Graph, NodeId};
 /// 2. merge each quotient SCC into one subgraph — the SCC's members are
 ///    mutually reachable through each other's edges, so the merged subgraph
 ///    stays connected while the quotient becomes acyclic;
-/// 3. iterate (an SCC merge can join components that a later split leaves
-///    untouched, so one extra pass settles the fixpoint);
-/// 4. canonicalize ids into execution order.
+/// 3. canonicalize ids into execution order.
 ///
 /// The result always satisfies [`Partition::validate`].
 ///
@@ -45,28 +57,23 @@ pub fn repair_connectivity(graph: &Graph, partition: Partition) -> Partition {
 /// [`repair_connectivity`], recording every membership change into `delta`.
 pub fn repair_connectivity_with_delta(
     graph: &Graph,
-    mut partition: Partition,
+    partition: Partition,
     delta: &mut PartitionDelta,
 ) -> Partition {
-    debug_assert_eq!(partition.len(), graph.len());
-    for _ in 0..graph.len().max(4) {
-        split_components(graph, &mut partition, delta);
-        let merged = merge_sccs(graph, &mut partition, delta);
-        if !merged {
-            break;
-        }
-    }
-    let ok = partition.canonicalize(graph);
-    debug_assert!(ok, "repair_connectivity left a cyclic quotient");
-    partition
+    let (mut labels, _, order) = connect(graph, &partition, delta);
+    relabel_in_order(&mut labels, &order);
+    Partition::from_assignment(labels)
 }
 
 /// Splits every subgraph whose footprint check fails, using the paper's
 /// in-situ `split-subgraph`: the subgraph is halved along the topological
-/// order (never creating quotient cycles), components are re-split, and the
-/// process repeats until every subgraph fits or is a single node.
+/// order (never creating quotient cycles), each half is split into its
+/// components, and the process repeats until every subgraph fits or is a
+/// single node.
 ///
-/// `fits` receives the (ascending) member list of one subgraph.
+/// `fits` receives the (ascending) member list of one subgraph. On a valid
+/// partition only the capacity splits change anything; an invalid one is
+/// first repaired for connectivity, which makes this [`repair`].
 pub fn split_oversized(
     graph: &Graph,
     partition: Partition,
@@ -79,34 +86,11 @@ pub fn split_oversized(
 /// [`split_oversized`], recording every membership change into `delta`.
 pub fn split_oversized_with_delta(
     graph: &Graph,
-    mut partition: Partition,
+    partition: Partition,
     fits: &dyn Fn(&[NodeId]) -> bool,
     delta: &mut PartitionDelta,
 ) -> Partition {
-    loop {
-        let mut changed = false;
-        let mut next = partition.fresh_id();
-        for members in partition.subgraphs() {
-            if members.len() <= 1 || fits(&members) {
-                continue;
-            }
-            // Halve along the topological order: members are ascending, so
-            // all internal edges flow first-half -> second-half.
-            delta.touch_members(&members);
-            let mid = members.len() / 2;
-            for &m in &members[mid..] {
-                partition.assign(m, next);
-            }
-            next += 1;
-            changed = true;
-        }
-        if !changed {
-            break;
-        }
-        // Halving may disconnect pieces; restore validity before retrying.
-        partition = repair_connectivity_with_delta(graph, partition, delta);
-    }
-    partition
+    repair_with_delta(graph, partition, fits, delta)
 }
 
 /// Full repair pipeline: connectivity + acyclicity, then capacity splits.
@@ -126,94 +110,214 @@ pub fn repair_with_delta(
     fits: &dyn Fn(&[NodeId]) -> bool,
     delta: &mut PartitionDelta,
 ) -> Partition {
-    let partition = repair_connectivity_with_delta(graph, partition, delta);
-    split_oversized_with_delta(graph, partition, fits, delta)
+    let (mut labels, k, order) = connect(graph, &partition, delta);
+    if split_oversized_pieces(graph, &mut labels, k, fits, delta) {
+        // Halving leaves sparse labels and no order: canonicalize once.
+        let mut repaired = Partition::from_assignment(labels);
+        let acyclic = repaired.canonicalize(graph);
+        debug_assert!(acyclic, "capacity splits left a cyclic quotient");
+        return repaired;
+    }
+    relabel_in_order(&mut labels, &order);
+    Partition::from_assignment(labels)
 }
 
-/// Splits each subgraph into weakly-connected components (in place),
-/// marking the members of every subgraph that actually split.
-fn split_components(graph: &Graph, partition: &mut Partition, delta: &mut PartitionDelta) {
-    let n = graph.len();
-    // Union-find over nodes, unioning only edges internal to a subgraph.
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    fn find(parent: &mut [u32], x: u32) -> u32 {
-        let mut root = x;
-        while parent[root as usize] != root {
-            root = parent[root as usize];
+/// Splits every subgraph into components and merges quotient SCCs until
+/// the quotient is acyclic. Returns dense labels `0..k` per node and the
+/// canonical execution order of those labels.
+///
+/// One quotient is built per pass. When Kahn's order is complete it is
+/// the canonical order, so no further build is needed; otherwise Tarjan
+/// finds the SCCs, each SCC is merged, and the next pass re-splits only
+/// the merged subgraphs.
+fn connect(
+    graph: &Graph,
+    partition: &Partition,
+    delta: &mut PartitionDelta,
+) -> (Vec<u32>, usize, Vec<u32>) {
+    debug_assert_eq!(partition.len(), graph.len());
+    let (originals, mut labels) = compact_ids(partition.assignment());
+    let mut k = originals.len();
+    let mut resplit = vec![true; k];
+    loop {
+        k = split_components(graph, &mut labels, k, &resplit, delta);
+        let quotient = Quotient::from_compact(graph, &labels, (0..k as u32).collect());
+        if let Some(order) = quotient.topo_order() {
+            return (labels, k, order);
         }
-        let mut cur = x;
-        while parent[cur as usize] != root {
-            let next = parent[cur as usize];
-            parent[cur as usize] = root;
-            cur = next;
-        }
-        root
+        resplit = merge_sccs(&quotient, &mut labels, delta);
+        k = resplit.len();
     }
-    for id in graph.node_ids() {
-        for &c in graph.consumers(id) {
-            if partition.subgraph_of(id) == partition.subgraph_of(c) {
-                let (a, b) = (
-                    find(&mut parent, id.index() as u32),
-                    find(&mut parent, c.index() as u32),
-                );
-                if a != b {
-                    parent[a as usize] = b;
+}
+
+/// Splits every subgraph of the dense labelling `labels` (`0..k`) that
+/// `resplit` flags into weakly-connected components, marking the members
+/// of every subgraph that actually split. The first piece of a subgraph keeps its
+/// label and further pieces take labels `k..`; returns the new count.
+fn split_components(
+    graph: &Graph,
+    labels: &mut [u32],
+    k: usize,
+    resplit: &[bool],
+    delta: &mut PartitionDelta,
+) -> usize {
+    // Flood each component to a temporary label `k + j`, so a node still
+    // carrying a flagged label below `k` is unvisited; `target[j]` is
+    // the piece's final label and `origin[j]` the subgraph it came from.
+    let mut pieces = vec![0u32; k];
+    let mut origin: Vec<u32> = Vec::new();
+    let mut target: Vec<u32> = Vec::new();
+    let mut next = k as u32;
+    let mut queue = Vec::new();
+    for i in 0..labels.len() {
+        let s = labels[i];
+        if s as usize >= k || !resplit[s as usize] {
+            continue;
+        }
+        pieces[s as usize] += 1;
+        target.push(if pieces[s as usize] == 1 {
+            s
+        } else {
+            next += 1;
+            next - 1
+        });
+        let temp = (k + origin.len()) as u32;
+        origin.push(s);
+        queue.clear();
+        flood(graph, labels, NodeId::from_index(i), s, temp, &mut queue);
+    }
+    for (i, l) in labels.iter_mut().enumerate() {
+        if let Some(j) = (*l as usize).checked_sub(k) {
+            if pieces[origin[j] as usize] > 1 {
+                delta.touch(NodeId::from_index(i));
+            }
+            *l = target[j];
+        }
+    }
+    next as usize
+}
+
+/// Merges every quotient SCC into one subgraph, marking the members of
+/// every non-trivial one. Relabels `labels` densely (one label per SCC)
+/// and returns, per new label, whether it merged several subgraphs.
+fn merge_sccs(quotient: &Quotient, labels: &mut [u32], delta: &mut PartitionDelta) -> Vec<bool> {
+    let sccs = quotient.sccs();
+    let mut scc_of = vec![0u32; quotient.num_subgraphs()];
+    for (s, scc) in sccs.iter().enumerate() {
+        for &c in scc {
+            scc_of[c as usize] = s as u32;
+        }
+    }
+    let merged: Vec<bool> = sccs.iter().map(|scc| scc.len() > 1).collect();
+    for (i, l) in labels.iter_mut().enumerate() {
+        *l = scc_of[*l as usize];
+        if merged[*l as usize] {
+            delta.touch(NodeId::from_index(i));
+        }
+    }
+    merged
+}
+
+/// Capacity phase over the dense labelling `labels` (`0..k`, acyclic
+/// quotient): probes `fits` once on every multi-node subgraph and on every
+/// piece a halving produces. A failing member set is marked dirty, halved
+/// along the ascending (topological) member order, each half is split into
+/// its components, and every piece goes back on the worklist.
+///
+/// No pass re-checks acyclicity: all edges inside a halved subgraph run
+/// from its first half to its second, and the components of one half share
+/// no edge, so a quotient cycle through the pieces would contract to a
+/// cycle of the acyclic input quotient.
+///
+/// Returns whether anything was halved (the labels are then sparse).
+fn split_oversized_pieces(
+    graph: &Graph,
+    labels: &mut [u32],
+    k: usize,
+    fits: &dyn Fn(&[NodeId]) -> bool,
+    delta: &mut PartitionDelta,
+) -> bool {
+    // `pool` holds every member list probed: first each subgraph's
+    // ascending members (a counting sort by label), then the pieces
+    // halvings produce, appended. Worklist entries are ranges into it.
+    let mut start = vec![0usize; k + 1];
+    for &l in labels.iter() {
+        start[l as usize + 1] += 1;
+    }
+    for c in 0..k {
+        start[c + 1] += start[c];
+    }
+    let mut pool = vec![NodeId::from_index(0); labels.len()];
+    let mut cursor = start.clone();
+    for (i, &l) in labels.iter().enumerate() {
+        pool[cursor[l as usize]] = NodeId::from_index(i);
+        cursor[l as usize] += 1;
+    }
+    let mut work: Vec<(usize, usize)> = (0..k)
+        .map(|c| (start[c], start[c + 1]))
+        .filter(|&(lo, hi)| hi - lo > 1 && !fits(&pool[lo..hi]))
+        .collect();
+    if work.is_empty() {
+        return false;
+    }
+    let mut next = k as u32;
+    while let Some((lo, hi)) = work.pop() {
+        delta.touch_members(&pool[lo..hi]);
+        let mid = lo + (hi - lo) / 2;
+        for (a, b) in [(lo, mid), (mid, hi)] {
+            let half = next;
+            next += 1;
+            for &m in &pool[a..b] {
+                labels[m.index()] = half;
+            }
+            for at in a..b {
+                let m = pool[at];
+                if labels[m.index()] != half {
+                    continue;
+                }
+                let piece_start = pool.len();
+                flood(graph, labels, m, half, next, &mut pool);
+                next += 1;
+                let piece = if pool.len() - piece_start == b - a {
+                    // The half is connected: it is its own piece.
+                    pool.truncate(piece_start);
+                    (a, b)
+                } else {
+                    pool[piece_start..].sort_unstable();
+                    (piece_start, pool.len())
+                };
+                if piece.1 - piece.0 > 1 && !fits(&pool[piece.0..piece.1]) {
+                    work.push(piece);
                 }
             }
         }
     }
-    // Each (old subgraph, component root) pair becomes its own subgraph.
-    let olds: Vec<u32> = (0..n)
-        .map(|i| partition.subgraph_of(NodeId::from_index(i)))
-        .collect();
-    let roots: Vec<u32> = (0..n).map(|i| find(&mut parent, i as u32)).collect();
-    let mut fresh = partition.fresh_id();
-    let mut remap: std::collections::HashMap<(u32, u32), u32> = std::collections::HashMap::new();
-    let mut components_of: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    for i in 0..n {
-        let id = *remap.entry((olds[i], roots[i])).or_insert_with(|| {
-            let id = fresh;
-            fresh += 1;
-            *components_of.entry(olds[i]).or_insert(0) += 1;
-            id
-        });
-        partition.assign(NodeId::from_index(i), id);
-    }
-    // A subgraph that stayed in one piece kept its member set (only its id
-    // changed); one that split changed every piece's membership.
-    for (i, old) in olds.iter().enumerate() {
-        if components_of.get(old).copied().unwrap_or(0) > 1 {
-            delta.touch(NodeId::from_index(i));
-        }
-    }
+    true
 }
 
-/// Merges every non-trivial quotient SCC into a single subgraph, marking
-/// the members of every merged subgraph; returns whether anything changed.
-fn merge_sccs(graph: &Graph, partition: &mut Partition, delta: &mut PartitionDelta) -> bool {
-    let quotient = Quotient::build(graph, partition);
-    let sccs = quotient.sccs();
-    if sccs.iter().all(|s| s.len() == 1) {
-        return false;
-    }
-    // Map compact id -> SCC representative (first member) and SCC size.
-    let mut rep = vec![0u32; quotient.num_subgraphs()];
-    let mut scc_len = vec![0usize; quotient.num_subgraphs()];
-    for scc in &sccs {
-        for &m in scc {
-            rep[m as usize] = scc[0];
-            scc_len[m as usize] = scc.len();
+/// Relabels the weakly-connected component of `start` among the nodes
+/// labelled `from` to `to`, appending its nodes to `visited` in visit order.
+fn flood(
+    graph: &Graph,
+    labels: &mut [u32],
+    start: NodeId,
+    from: u32,
+    to: u32,
+    visited: &mut Vec<NodeId>,
+) {
+    labels[start.index()] = to;
+    let mut at = visited.len();
+    visited.push(start);
+    while at < visited.len() {
+        let u = visited[at];
+        at += 1;
+        for &v in graph.producers(u).iter().chain(graph.consumers(u)) {
+            if labels[v.index()] == from {
+                labels[v.index()] = to;
+                visited.push(v);
+            }
         }
     }
-    for i in 0..partition.len() {
-        let node = NodeId::from_index(i);
-        let compact = quotient.compact_id(partition.subgraph_of(node));
-        if scc_len[compact as usize] > 1 {
-            delta.touch(node);
-        }
-        partition.assign(node, rep[compact as usize]);
-    }
-    true
 }
 
 #[cfg(test)]

@@ -300,7 +300,8 @@ impl<'g> Evaluator<'g> {
         // `Partition::subgraphs` and arena layouts both emit ascending
         // members — so the sort below is a counted slow path kept only for
         // order-agnostic external callers. Debug builds assert it never
-        // fires; `micro --smoke` asserts the counter stays 0.
+        // fires; `tests/tests/engine.rs` and `tests/tests/determinism.rs`
+        // assert `engine.hot_allocs` stays 0.
         let stats = if members.windows(2).all(|w| w[0] < w[1]) {
             self.compute_stats(members)?
         } else {
