@@ -509,14 +509,13 @@ fn main() -> ExitCode {
         percent(hits, evals),
         m.gauge("engine.batch.wall_ns") as f64 / 1e6,
     );
-    let (scored, cached, reused) = (
+    let (scored, cached) = (
         m.counter("engine.subgraph.scorings"),
         m.counter("engine.cache.subgraph.hits"),
-        m.counter("engine.subgraph.reused"),
     );
     println!(
-        "subgraph terms     : {scored} scored, {cached} cached, {reused} reused ({:.0}% avoided)",
-        percent(cached + reused, scored + cached + reused),
+        "subgraph terms     : {scored} scored, {cached} cached ({:.0}% avoided)",
+        percent(cached, scored + cached),
     );
     let (roll_ups, terms) = (
         m.counter("engine.cache.partition.evictions"),

@@ -4,11 +4,11 @@
 //! Every partition-scoring entry point claims one [`EvalArena`] slot from
 //! the engine's [`ScratchPool`] for the duration of the call. A slot
 //! bundles the flat [`LayoutArena`] a candidate partition is materialized
-//! into, the fixed-size composition vectors — cleared (capacity kept)
-//! between uses and grown monotonically, so the steady state touches the
-//! allocator only for values that escape into long-lived structures
-//! (memo entries, fingerprints, cache inserts) — and the queue of cache
-//! entries staged for the batch-end drain.
+//! into, the fixed-size composition vectors (per-position fingerprints
+//! and statistics) — cleared (capacity kept) between uses and grown
+//! monotonically, so the steady state touches the allocator only for
+//! values that escape into long-lived structures (cache inserts) — and
+//! the queue of cache entries staged for the batch-end drain.
 //!
 //! Slots never affect results: scratch contents are fully overwritten
 //! before each read, and which slot a call claims is invisible to the
@@ -18,15 +18,16 @@
 //! always exists, so the spin terminates immediately in practice.
 
 use crate::cache::EvalKey;
-use crate::engine::{EvalMemo, MemoEntry, ScoredEval, SubgraphScore};
+use crate::engine::{ScoredEval, SubgraphScore};
+use cocco_graph::NodeSetFp;
 use cocco_partition::LayoutArena;
 use cocco_sim::SubgraphStats;
 use std::mem::size_of;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// A partition roll-up staged for funding-order publication: the batch
 /// sequence number it was computed under, plus the shared-cache payload.
-pub(crate) type PendingPartition = (u64, EvalKey, ScoredEval, Option<Arc<EvalMemo>>);
+pub(crate) type PendingPartition = (u64, EvalKey, ScoredEval);
 
 /// A subgraph term staged for funding-order publication.
 pub(crate) type PendingSubgraph = (u64, EvalKey, SubgraphScore);
@@ -51,37 +52,32 @@ impl Staged {
     }
 }
 
-/// The composition scratch of one scoring call: per-position memo copies,
-/// statistics and weight footprints.
+/// The composition scratch of one scoring call: per-position subgraph
+/// fingerprints and statistics.
 #[derive(Debug, Default)]
 pub(crate) struct ComposeScratch {
-    /// Memoized entry per clean position (`MemoEntry` is `Copy`, so the
-    /// memo's borrow ends before the fold starts).
-    pub entries: Vec<Option<MemoEntry>>,
-    /// Statistics of freshly derived positions (`None` where the memo
-    /// entry was copied instead).
-    pub stats_of: Vec<Option<SubgraphStats>>,
-    /// Weight footprint per position (drives the `next_wgt` chain).
-    pub wgts: Vec<u64>,
+    /// Subgraph fingerprint per position — the key material of the
+    /// partition probe and of every term probe.
+    pub fps: Vec<NodeSetFp>,
+    /// Statistics per position (their weight footprints drive the
+    /// `next_wgt` chain).
+    pub stats: Vec<SubgraphStats>,
 }
 
 impl ComposeScratch {
     /// Bytes of heap capacity currently owned by the scratch buffers.
     fn bytes(&self) -> u64 {
-        (self.entries.capacity() * size_of::<Option<MemoEntry>>()
-            + self.stats_of.capacity() * size_of::<Option<SubgraphStats>>()
-            + self.wgts.capacity() * size_of::<u64>()) as u64
+        (self.fps.capacity() * size_of::<NodeSetFp>()
+            + self.stats.capacity() * size_of::<SubgraphStats>()) as u64
     }
 }
 
-/// One reusable scratch slot: a layout arena, per-subgraph dirty flags,
-/// the composition buffers and the staging queues.
+/// One reusable scratch slot: a layout arena, the composition buffers
+/// and the staging queues.
 #[derive(Debug, Default)]
 pub struct EvalArena {
     /// Flat-layout storage the candidate partition is built into.
     pub(crate) layout: LayoutArena,
-    /// Per-subgraph dirty flags projected from a `PartitionDelta`.
-    pub(crate) dirty: Vec<bool>,
     /// Composition scratch.
     pub(crate) compose: ComposeScratch,
     /// Entries awaiting the batch-end funding-order drain.
@@ -91,10 +87,7 @@ pub struct EvalArena {
 impl EvalArena {
     /// Bytes of heap capacity currently owned by this slot.
     pub fn bytes(&self) -> u64 {
-        self.layout.bytes()
-            + (self.dirty.capacity() * size_of::<bool>()) as u64
-            + self.compose.bytes()
-            + self.staged.bytes()
+        self.layout.bytes() + self.compose.bytes() + self.staged.bytes()
     }
 
     /// Layout builds served entirely from existing capacity.
@@ -186,10 +179,10 @@ mod tests {
     fn slots_are_exclusive_and_reusable() {
         let pool = ScratchPool::new(2);
         pool.with_slot(|a| {
-            a.dirty.push(true);
+            a.compose.fps.push(NodeSetFp::EMPTY);
             // A nested claim from another logical task still succeeds:
             // the second slot is free.
-            pool.with_slot(|b| b.dirty.push(false));
+            pool.with_slot(|b| b.compose.fps.push(NodeSetFp::EMPTY));
         });
         // Scratch persists across claims (capacity reuse is the point).
         let total: u64 = pool.bytes();
@@ -201,7 +194,7 @@ mod tests {
     fn empty_pool_clamps_to_one_slot() {
         let pool = ScratchPool::new(0);
         let inside = pool.with_slot(|arena| {
-            arena.dirty.reserve(8);
+            arena.compose.fps.reserve(8);
             arena.bytes()
         });
         assert_eq!(pool.bytes(), inside);
@@ -209,15 +202,16 @@ mod tests {
 
     #[test]
     fn claims_never_alias_under_contention() {
+        use cocco_graph::NodeId;
         use cocco_partition::Partition;
         use std::sync::atomic::{AtomicU64, Ordering};
 
         // `threads + 1` concurrent batches hammer claim/release — one
         // more claimant than the pool was sized for, so at least two
         // claimants always compete for the same slots. Each claim writes
-        // a unique token into its slot, yields to invite interleaving,
-        // and asserts the token survived: any aliasing (two claimants in
-        // one slot) or lost exclusivity would corrupt the token.
+        // a unique token's fingerprint into its slot, yields to invite
+        // interleaving, and asserts the token survived: any aliasing (two
+        // claimants in one slot) or lost exclusivity would corrupt it.
         const THREADS: usize = 4;
         const CLAIMS_PER_BATCH: u64 = 300;
         let pool = ScratchPool::new(THREADS + 1);
@@ -229,19 +223,12 @@ mod tests {
                     for _ in 0..CLAIMS_PER_BATCH {
                         let token = next_token.fetch_add(1, Ordering::Relaxed);
                         pool.with_slot(|arena| {
-                            arena.dirty.clear();
-                            for bit in 0..64 {
-                                arena.dirty.push(token >> bit & 1 == 1);
-                            }
+                            let fp = NodeSetFp::of_members(&[NodeId::from_index(token as usize)]);
+                            arena.compose.fps.clear();
+                            arena.compose.fps.push(fp);
                             arena.layout.build_from_partition(&partition);
                             std::thread::yield_now();
-                            let read: u64 = arena
-                                .dirty
-                                .iter()
-                                .enumerate()
-                                .map(|(bit, &set)| u64::from(set) << bit)
-                                .sum();
-                            assert_eq!(read, token, "slot aliased across claims");
+                            assert_eq!(arena.compose.fps, [fp], "slot aliased across claims");
                         });
                     }
                 });

@@ -4,29 +4,27 @@
 //! produced by `Evaluator::eval_subgraph` under the coordinates
 //! `(evaluator fingerprint, members, next_wgt, buffer, options)` — the
 //! exact inputs of that function, so one entry serves every partition that
-//! places the same subgraph before the same successor. Level 2
-//! (**partition roll-up**) memoizes whole-partition [`ScoredEval`]s —
-//! together with the evaluation's per-subgraph [`EvalMemo`], so a genome
-//! whose score comes from a cache hit still hands a memo to its offspring.
+//! places the same subgraph before the same successor — and the one source
+//! of every subgraph term the engine composes. Level 2 (**partition
+//! roll-up**) memoizes whole-partition [`ScoredEval`]s, so a re-proposed
+//! genome skips composition altogether.
 //!
 //! # Zero-rehash keys
 //!
-//! Cache identity is **incremental state, not recomputed work**: every key
-//! is a fixed-size [`EvalKey`] — the evaluator fingerprint plus a 128-bit
-//! content hash folded from precomputed per-subgraph
-//! [`NodeSetFp`] fingerprints and the `(buffer, options, next_wgt)`
-//! coordinates. Building a key allocates nothing and never walks a member
-//! vector, shard selection reads one precomputed word, and the maps use a
-//! pass-through hasher ([`BuildFpHasher`]) instead of re-hashing the key
-//! per probe. Key equality is fingerprint equality; see
+//! Every key is a fixed-size [`EvalKey`] — the evaluator fingerprint plus
+//! a 128-bit content hash folded from per-subgraph [`NodeSetFp`]
+//! fingerprints (derived once per scoring call) and the
+//! `(buffer, options, next_wgt)` coordinates. Building a key allocates
+//! nothing and never walks a member vector, shard selection reads one
+//! precomputed word, and the maps use a pass-through hasher
+//! ([`BuildFpHasher`]) instead of re-hashing the key per probe. Key equality is fingerprint equality; see
 //! [`NodeSetFp`] for the (negligible) collision model.
 //!
 //! # Bounded growth
 //!
 //! Both levels are bounded by a configurable entry budget
 //! (`EngineConfig::cache_capacity`; the subgraph-term level takes at
-//! least half, the memo-carrying partition level the rest under a fixed
-//! entry cap — see [`EvalCache::with_capacity`]). A
+//! least half, the partition level the rest under a fixed entry cap — see [`EvalCache::with_capacity`]). A
 //! shard that fills up runs a **generation sweep**: entries not touched
 //! since the previous sweep are evicted (counted in the level's eviction
 //! counter), so a long exploration keeps its working set and sheds stale
@@ -45,7 +43,7 @@
 //! each key's fingerprints, so `--cache-file` warm starts survive the
 //! re-keying.
 
-use crate::engine::{EvalMemo, ScoredEval, SubgraphScore};
+use crate::engine::{ScoredEval, SubgraphScore};
 use cocco_faults::{atomic_save, FaultPlan};
 use cocco_graph::{mix64, BuildFpHasher, NodeId, NodeSetFp};
 use cocco_sim::{BufferConfig, EvalOptions};
@@ -54,7 +52,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of independent shards; keys spread by their precomputed hash, so
 /// concurrent workers rarely contend on the same lock.
@@ -321,10 +319,7 @@ impl<V: Clone> Level<V> {
 /// Entries are plain `(key, value)` pairs sorted by key; the `f64` fields
 /// inside the values survive the JSON round-trip exactly, so a
 /// warm-started exploration is bit-identical to a cold one — the snapshot
-/// only changes which lookups hit. (The in-memory memos attached to
-/// partition entries are *not* persisted: a restored entry answers with
-/// its score and no memo, exactly like a fresh roll-up hit did before
-/// memos were cached.)
+/// only changes which lookups hit.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CacheSnapshot {
     /// Snapshot format version (bumped on incompatible key changes).
@@ -684,7 +679,7 @@ fn extract_array_elements<'a>(text: &'a str, field: &str) -> Vec<&'a str> {
 /// depend on the race.
 #[derive(Debug)]
 pub struct EvalCache {
-    partition: Level<(ScoredEval, Option<Arc<EvalMemo>>)>,
+    partition: Level<ScoredEval>,
     subgraph: Level<SubgraphScore>,
 }
 
@@ -695,20 +690,16 @@ impl EvalCache {
     }
 
     /// Upper bound on the partition level's share of any capacity.
-    /// Partition entries are the heavy ones — each pins an [`EvalMemo`]
-    /// (O(#subgraphs) fingerprints + terms, kilobytes on large models),
-    /// where subgraph-term entries are a few dozen bytes — and partition
-    /// roll-ups also pay off only for recently re-proposed genomes, so a
-    /// moderate budget keeps their hit rate while capping memo residency
-    /// at tens of megabytes instead of letting a generous total budget
-    /// admit gigabytes of memos.
+    /// Partition roll-ups pay off only for recently re-proposed genomes,
+    /// so a moderate budget keeps their hit rate, and the rest of a
+    /// generous total budget goes to the subgraph-term level, which
+    /// answers every clean subgraph of every composed partition.
     const PARTITION_ENTRY_CAP: usize = 1 << 14;
 
     /// Creates an empty cache bounded to `capacity` total entries. The
     /// subgraph-term level takes at least half; the partition level takes
-    /// the rest, additionally capped at 16 384 entries because its
-    /// entries carry memos (kilobytes each on large models). Tiny
-    /// capacities are clamped so every shard can hold at least one entry.
+    /// the rest, additionally capped at 16 384 entries. Tiny capacities
+    /// are clamped so every shard can hold at least one entry.
     pub fn with_capacity(capacity: usize) -> Self {
         Self::with_capacity_telemetry(capacity, Telemetry::disabled())
     }
@@ -726,17 +717,14 @@ impl EvalCache {
         }
     }
 
-    /// Looks a partition roll-up key up, returning the score *and* the
-    /// per-subgraph memo recorded with it (if the entry was composed on
-    /// the incremental path), counting a hit or miss.
-    pub fn get_memoized(&self, key: &EvalKey) -> Option<(ScoredEval, Option<Arc<EvalMemo>>)> {
+    /// Looks a partition roll-up key up, counting a hit or miss.
+    pub fn get_partition(&self, key: &EvalKey) -> Option<ScoredEval> {
         self.partition.get(key)
     }
 
-    /// Inserts a computed partition evaluation together with its
-    /// per-subgraph memo, so later hits can hand the memo to offspring.
-    pub fn insert_memoized(&self, key: EvalKey, value: ScoredEval, memo: Option<Arc<EvalMemo>>) {
-        self.partition.insert(key, (value, memo));
+    /// Inserts a computed partition evaluation.
+    pub fn insert_partition(&self, key: EvalKey, value: ScoredEval) {
+        self.partition.insert(key, value);
     }
 
     /// Looks a per-subgraph term up, counting a subgraph-level hit or miss.
@@ -799,12 +787,11 @@ impl EvalCache {
         self.subgraph.evictions.load(Ordering::Relaxed)
     }
 
-    /// A serializable image of both levels (entries sorted by key; memos
-    /// are process-local and not persisted).
+    /// A serializable image of both levels (entries sorted by key).
     pub fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
             version: SNAPSHOT_VERSION,
-            partition: self.partition.entries(|(scored, _)| *scored),
+            partition: self.partition.entries(|scored| *scored),
             subgraph: self.subgraph.entries(|term| *term),
         }
     }
@@ -816,7 +803,7 @@ impl EvalCache {
             return;
         }
         for (key, value) in &snapshot.partition {
-            self.partition.insert(*key, (*value, None));
+            self.partition.insert(*key, *value);
         }
         for (key, value) in &snapshot.subgraph {
             self.subgraph.insert(*key, *value);
@@ -1004,9 +991,9 @@ mod tests {
             &BufferConfig::shared(64),
             EvalOptions::default(),
         );
-        assert!(cache.get_memoized(&key).is_none());
-        cache.insert_memoized(key, scored(7), None);
-        assert_eq!(cache.get_memoized(&key).unwrap().0.ema_bytes, 7);
+        assert!(cache.get_partition(&key).is_none());
+        cache.insert_partition(key, scored(7));
+        assert_eq!(cache.get_partition(&key).unwrap().ema_bytes, 7);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.partition_entries(), 1);
@@ -1068,21 +1055,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_rides_along_partition_entries() {
-        let cache = EvalCache::new();
-        let key = eval_key(
-            7,
-            &sg(&[&[0, 1]]),
-            &BufferConfig::shared(64),
-            EvalOptions::default(),
-        );
-        cache.insert_memoized(key, scored(5), None);
-        let (value, memo) = cache.get_memoized(&key).unwrap();
-        assert_eq!(value, scored(5));
-        assert!(memo.is_none());
-    }
-
-    #[test]
     fn snapshot_round_trips_both_levels() {
         let cache = EvalCache::new();
         let pkey = eval_key(
@@ -1091,7 +1063,7 @@ mod tests {
             &BufferConfig::shared(64),
             EvalOptions::default(),
         );
-        cache.insert_memoized(pkey, scored(11), None);
+        cache.insert_partition(pkey, scored(11));
         let members = [NodeId::from_index(0)];
         let skey = subgraph_key(
             7,
@@ -1106,7 +1078,7 @@ mod tests {
         assert_eq!(snap.len(), 2);
         let other = EvalCache::new();
         other.restore(&snap);
-        assert_eq!(other.get_memoized(&pkey).unwrap().0, scored(11));
+        assert_eq!(other.get_partition(&pkey).unwrap(), scored(11));
         assert_eq!(other.get_subgraph(&skey).unwrap(), term(13));
         assert_eq!(other.snapshot(), snap, "snapshot ordering is stable");
     }
@@ -1115,7 +1087,7 @@ mod tests {
     fn snapshot_split_by_fingerprint() {
         let cache = EvalCache::new();
         for fp in [1u64, 2] {
-            cache.insert_memoized(
+            cache.insert_partition(
                 eval_key(
                     fp,
                     &sg(&[&[0]]),
@@ -1123,7 +1095,6 @@ mod tests {
                     EvalOptions::default(),
                 ),
                 scored(fp),
-                None,
             );
             cache.insert_subgraph(
                 subgraph_key(
@@ -1155,7 +1126,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
         let cache = EvalCache::new();
-        cache.insert_memoized(
+        cache.insert_partition(
             eval_key(
                 9,
                 &sg(&[&[0, 1], &[2]]),
@@ -1163,7 +1134,6 @@ mod tests {
                 EvalOptions::default(),
             ),
             scored(21),
-            None,
         );
         cache.insert_subgraph(
             subgraph_key(
@@ -1245,7 +1215,7 @@ mod tests {
         // Restoring serves hits under the re-derived keys.
         let cache = EvalCache::new();
         cache.restore(&snap);
-        assert_eq!(cache.get_memoized(&expected_pkey).unwrap().0, scored(21));
+        assert_eq!(cache.get_partition(&expected_pkey).unwrap(), scored(21));
         assert_eq!(cache.get_subgraph(&expected_skey).unwrap().ema_bytes, 5);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1255,10 +1225,9 @@ mod tests {
         let cache = EvalCache::new();
         let buf = BufferConfig::shared(1 << 20);
         for i in 0..6usize {
-            cache.insert_memoized(
+            cache.insert_partition(
                 eval_key(9, &sg(&[&[i], &[i + 10]]), &buf, EvalOptions::default()),
                 scored(i as u64),
-                None,
             );
             cache.insert_subgraph(
                 subgraph_key(9, &[NodeId::from_index(i)], 7, &buf, EvalOptions::default()),
@@ -1430,10 +1399,10 @@ mod tests {
             let keys = keys.clone();
             handles.push(std::thread::spawn(move || {
                 for (i, key) in keys.iter().enumerate() {
-                    if let Some((v, _)) = cache.get_memoized(key) {
+                    if let Some(v) = cache.get_partition(key) {
                         assert_eq!(v.ema_bytes, i as u64, "thread {t}");
                     } else {
-                        cache.insert_memoized(*key, scored(i as u64), None);
+                        cache.insert_partition(*key, scored(i as u64));
                     }
                 }
             }));
@@ -1443,7 +1412,7 @@ mod tests {
         }
         assert_eq!(cache.partition_entries(), 64);
         for (i, key) in keys.iter().enumerate() {
-            assert_eq!(cache.get_memoized(key).unwrap().0.ema_bytes, i as u64);
+            assert_eq!(cache.get_partition(key).unwrap().ema_bytes, i as u64);
         }
     }
 }

@@ -37,7 +37,7 @@ pub struct EngineConfig {
     /// Worker-thread policy.
     pub threads: ThreadCount,
     /// Upper bound on cached evaluation entries across the two cache
-    /// levels (the memo-carrying partition level's share is additionally
+    /// levels (the partition level's share is additionally
     /// capped — see `EvalCache::with_capacity`). When a level fills up, a
     /// generation sweep evicts the entries not touched since the previous
     /// sweep (evictions are counted in `Engine::metrics`). Defaults to

@@ -2,34 +2,30 @@
 //!
 //! Scoring is **subgraph-granular**: a partition's objective terms are
 //! composed from per-subgraph scores that are memoized individually (see
-//! [`EvalCache`]), and a caller that knows *which* subgraphs a mutation
-//! touched (the [`PartitionDelta`] hint of [`Engine::score_partition`])
-//! re-derives only those terms — plus the `next_wgt` predecessors whose
-//! prefetch input changed — while every untouched term is copied from the
-//! previous evaluation's [`EvalMemo`]. Cached composition and memo reuse
-//! are bit-identical to the full evaluator (`Evaluator::eval_partition`,
-//! the test oracle) by construction: `Evaluator::eval_subgraph` is a pure
+//! [`EvalCache`]). In the graph-level execution scheme the only coupling
+//! between subgraphs is the successor's weight prefetch, so each term is a
+//! pure function of `(members, next_wgt, buffer, options)` — exactly its
+//! cache key — and every subgraph a mutation left untouched is answered by
+//! the term cache; only the misses are scored. Cached composition is
+//! bit-identical to the full evaluator (`Evaluator::eval_partition`, the
+//! test oracle) by construction: `Evaluator::eval_subgraph` is a pure
 //! function and the roll-up is an in-order fold.
 //!
-//! Cache identity is carried by precomputed 128-bit subgraph fingerprints
-//! ([`PartitionFingerprints`]): a memo stores the fingerprints of the
-//! partition it scored, and scoring a mutated offspring re-fingerprints
-//! only the dirty subgraphs — clean ones copy their fingerprint through a
-//! stable member node in O(1). No evaluation path allocates a key or walks
-//! a member vector to probe the cache.
+//! Cache identity is carried by 128-bit subgraph fingerprints
+//! ([`NodeSetFp`]), derived once per scoring call from the flat partition
+//! layout into the claimed scratch slot. No evaluation path allocates a
+//! key or re-walks a member vector to probe the cache.
 
 use crate::arena::{ComposeScratch, EvalArena, ScratchPool, Staged};
 use crate::cache::{EvalCache, EvalKey};
 use crate::config::EngineConfig;
 use crate::pool::EnginePool;
-use cocco_graph::{BuildFpHasher, NodeId, NodeSetFp};
-use cocco_partition::{Partition, PartitionDelta, PartitionFingerprints, PartitionLayout};
+use cocco_graph::{NodeId, NodeSetFp};
+use cocco_partition::{Partition, PartitionLayout};
 use cocco_sim::{BufferConfig, CostMetric, EvalOptions, Evaluator, SubgraphStats};
 use cocco_telemetry::{Histogram, MetricsSnapshot, Stopwatch, Telemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One memoized partition evaluation: everything needed to reproduce the
 /// objective cost under *any* objective (metric × Formula 1/2), so one
@@ -131,8 +127,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The additive objective terms of one subgraph — the cached unit of the
-/// incremental evaluation path. A partition's [`ScoredEval`] is the
+/// The additive objective terms of one subgraph — the unit the term cache
+/// holds. A partition's [`ScoredEval`] is the
 /// in-order sum (`ema_bytes`, `energy_pj`) and conjunction (`fits`) of its
 /// subgraphs' scores.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -143,109 +139,6 @@ pub struct SubgraphScore {
     pub energy_pj: f64,
     /// Whether this subgraph fits the buffer configuration.
     pub fits: bool,
-}
-
-/// One position of an [`EvalMemo`]: the subgraph's weight footprint (the
-/// `next_wgt` its *predecessor* sees), the `next_wgt` this term was scored
-/// under, and the term itself.
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct MemoEntry {
-    wgt_bytes: u64,
-    next_wgt: u64,
-    score: SubgraphScore,
-}
-
-/// The per-subgraph breakdown of one scored partition, kept by searchers
-/// (and stored with partition-level cache entries) so that scoring a
-/// *mutated* copy of the genome re-derives only the subgraphs the mutation
-/// (and its repair) touched.
-///
-/// A memo is pinned to its `(evaluator fingerprint, buffer, options)`
-/// coordinates; [`Engine::score_partition`] silently falls back to the full
-/// composition path when they do not match (e.g. after a DSE mutation
-/// changed the buffer), so a memo recorded under *different coordinates*
-/// can cost time but never correctness. Reuse of an individual term
-/// additionally requires the term's recorded `next_wgt` to equal the new
-/// successor's weight footprint — the one cross-subgraph coupling of the
-/// cost model. The memo also carries the scored partition's
-/// [`PartitionFingerprints`], the incremental state offspring
-/// fingerprints are refreshed from.
-///
-/// The delta handed to [`Engine::score_partition`], by contrast, is a
-/// **trusted input**: a subgraph wrongly marked clean would copy a
-/// stale fingerprint and thereby a stale cached score. Every in-tree
-/// delta producer upholds the member-set invariant documented on
-/// [`PartitionDelta`](cocco_partition::PartitionDelta) (mutation
-/// operators and repair mark whole changed subgraphs; crossover diffs
-/// fingerprints via `PartitionFingerprints::delta_against`), debug builds
-/// assert each copied fingerprint against a from-scratch recomputation,
-/// and the property suite walks random mutation/repair sequences — but a
-/// new operator that under-reports dirt would be a correctness bug in
-/// release builds, not a slowdown.
-#[derive(Debug)]
-pub struct EvalMemo {
-    fingerprint: u64,
-    buffer: BufferConfig,
-    options: EvalOptions,
-    /// Subgraph fingerprints of the scored partition (by position and by
-    /// anchor node — the latter is what offspring copy clean fingerprints
-    /// from).
-    fps: PartitionFingerprints,
-    entries: Vec<MemoEntry>,
-    /// Subgraph fingerprint → position in `entries`; built lazily on the
-    /// first lookup, because most scored genomes never become parents and
-    /// their memos are never consulted.
-    index: std::sync::OnceLock<HashMap<NodeSetFp, u32, BuildFpHasher>>,
-}
-
-impl EvalMemo {
-    fn new(
-        fingerprint: u64,
-        buffer: BufferConfig,
-        options: EvalOptions,
-        fps: PartitionFingerprints,
-        entries: Vec<MemoEntry>,
-    ) -> Self {
-        Self {
-            fingerprint,
-            buffer,
-            options,
-            fps,
-            entries,
-            index: std::sync::OnceLock::new(),
-        }
-    }
-
-    fn matches(&self, fingerprint: u64, buffer: &BufferConfig, options: EvalOptions) -> bool {
-        self.fingerprint == fingerprint && self.buffer == *buffer && self.options == options
-    }
-
-    fn lookup(&self, fp: NodeSetFp) -> Option<&MemoEntry> {
-        let index = self.index.get_or_init(|| {
-            self.fps
-                .positions()
-                .iter()
-                .enumerate()
-                .map(|(i, &fp)| (fp, i as u32))
-                .collect()
-        });
-        index.get(&fp).map(|&i| &self.entries[i as usize])
-    }
-
-    /// The scored partition's subgraph fingerprints.
-    pub fn fingerprints(&self) -> &PartitionFingerprints {
-        &self.fps
-    }
-
-    /// Number of memoized subgraph terms.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the memo holds no terms.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// The parallel, memoized evaluation engine.
@@ -268,8 +161,8 @@ impl EvalMemo {
 /// let engine = Engine::new(EngineConfig::serial());
 /// let whole = Partition::from_assignment(vec![0; g.len()]);
 /// let buffer = BufferConfig::shared(1 << 20);
-/// let (a, _) = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default(), None);
-/// let (b, _) = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default(), None);
+/// let a = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
+/// let b = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
 /// assert_eq!(a, b);
 /// assert_eq!(engine.metrics().counter("engine.cache.partition.hits"), 1);
 /// ```
@@ -282,8 +175,6 @@ pub struct Engine {
     /// one more slot than worker threads, claimed per scoring call.
     scratch: ScratchPool,
     wall_nanos: AtomicU64,
-    /// Memo reuses on the delta path.
-    reused: AtomicU64,
     /// High-water mark of any evaluator's canonicalize-fallback count
     /// observed by this engine (see
     /// `Evaluator::stats_canonicalize_fallbacks`); 0 in production,
@@ -358,7 +249,6 @@ impl Engine {
             scratch: ScratchPool::new(pool.threads() + 1),
             pool,
             wall_nanos: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
             stats_fallbacks: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
@@ -392,37 +282,22 @@ impl Engine {
         &self.cache
     }
 
-    /// Scores an ordered partition under `buffer`/`options`, memoized,
-    /// and returns the per-subgraph [`EvalMemo`] with the score. The
-    /// partition's member lists are materialized into this call's scratch
-    /// slot as a flat [`PartitionLayout`] built without per-candidate
-    /// allocations.
+    /// Scores an ordered partition under `buffer`/`options`, memoized.
+    /// The partition's member lists are materialized into this call's
+    /// scratch slot as a flat [`PartitionLayout`] built without
+    /// per-candidate allocations.
     ///
     /// Evaluator errors (including a partition with no subgraphs) are
     /// folded into the result (`error = true`, so [`ScoredEval::cost`] is
-    /// infinite) and memoized like any other evaluation. Roll-up cache
-    /// hits hand back the memo stored with the entry, so even a genome
-    /// whose score came straight from the cache seeds its offspring's
-    /// incremental hints (`None` only for entries restored from a
-    /// snapshot or evaluator errors).
-    ///
-    /// `hint` carries the parent's memo plus the [`PartitionDelta`]
-    /// recorded by mutation/repair; when it is usable (delta not
-    /// all-dirty, matching memo coordinates and node count) the call takes
-    /// the delta path — clean subgraphs reuse their memoized terms,
-    /// provided the recorded `next_wgt` still matches the new successor —
-    /// otherwise it composes from the caches. Both paths are
-    /// bit-identical. The delta must satisfy the member-set invariant
-    /// documented on [`PartitionDelta`] (debug builds assert it).
+    /// infinite) and memoized like any other evaluation.
     pub fn score_partition(
         &self,
         evaluator: &Evaluator<'_>,
         partition: &Partition,
         buffer: &BufferConfig,
         options: EvalOptions,
-        hint: Option<(&EvalMemo, &PartitionDelta)>,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        self.score_partition_publish(evaluator, partition, buffer, options, hint, None)
+    ) -> ScoredEval {
+        self.score_partition_publish(evaluator, partition, buffer, options, None)
     }
 
     /// Like [`score_partition`](Self::score_partition), but a freshly
@@ -441,9 +316,8 @@ impl Engine {
         partition: &Partition,
         buffer: &BufferConfig,
         options: EvalOptions,
-        hint: Option<(&EvalMemo, &PartitionDelta)>,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        self.score_partition_publish(evaluator, partition, buffer, options, hint, Some(seq))
+    ) -> ScoredEval {
+        self.score_partition_publish(evaluator, partition, buffer, options, Some(seq))
     }
 
     fn score_partition_publish(
@@ -452,13 +326,11 @@ impl Engine {
         partition: &Partition,
         buffer: &BufferConfig,
         options: EvalOptions,
-        hint: Option<(&EvalMemo, &PartitionDelta)>,
         seq: Option<u64>,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
+    ) -> ScoredEval {
         self.scratch.with_slot(|arena| {
             let EvalArena {
                 layout,
-                dirty,
                 compose,
                 staged,
             } = arena;
@@ -466,40 +338,9 @@ impl Engine {
                 Some(seq) => Publish::Deferred(seq, staged),
                 None => Publish::Immediate,
             };
-            let usable = hint.filter(|(memo, delta)| {
-                !delta.is_all()
-                    && delta.len() == partition.len()
-                    && memo.matches(evaluator.fingerprint(), buffer, options)
-            });
             let view = layout.build_from_partition(partition);
-            let reuse = match usable {
-                Some((memo, delta)) => {
-                    Self::project_dirty(&view, delta, dirty);
-                    Some((memo, dirty.as_slice()))
-                }
-                None => None,
-            };
-            self.score_inner(
-                evaluator,
-                &view,
-                buffer,
-                options,
-                reuse,
-                compose,
-                &mut publish,
-            )
+            self.score_inner(evaluator, &view, buffer, options, compose, &mut publish)
         })
-    }
-
-    /// Projects node-level delta dirt onto per-subgraph flags in view
-    /// order — the same flags `PartitionDelta::dirty_subgraphs` produces,
-    /// written into reusable scratch instead of a fresh vector.
-    fn project_dirty(view: &PartitionLayout<'_>, delta: &PartitionDelta, out: &mut Vec<bool>) {
-        out.clear();
-        out.extend(
-            view.iter()
-                .map(|members| members.iter().any(|&m| delta.is_dirty(m))),
-        );
     }
 
     /// Scores one subgraph as a standalone single-subgraph partition
@@ -541,16 +382,10 @@ impl Engine {
     /// Publishes a freshly computed roll-up per `publish` policy: staged
     /// for the batch-end drain, or inserted into the shared cache right
     /// away.
-    fn publish_partition(
-        &self,
-        publish: &mut Publish<'_>,
-        key: EvalKey,
-        scored: ScoredEval,
-        memo: Option<Arc<EvalMemo>>,
-    ) {
+    fn publish_partition(&self, publish: &mut Publish<'_>, key: EvalKey, scored: ScoredEval) {
         match publish {
-            Publish::Deferred(seq, staged) => staged.partitions.push((*seq, key, scored, memo)),
-            Publish::Immediate => self.cache.insert_memoized(key, scored, memo),
+            Publish::Deferred(seq, staged) => staged.partitions.push((*seq, key, scored)),
+            Publish::Immediate => self.cache.insert_partition(key, scored),
         }
     }
 
@@ -565,42 +400,36 @@ impl Engine {
     /// Derives the partition key, probes the shared cache and, on a
     /// miss, composes the score from per-subgraph terms and publishes it
     /// per `publish`.
-    #[allow(clippy::too_many_arguments)]
     fn score_inner(
         &self,
         evaluator: &Evaluator<'_>,
         subgraphs: &PartitionLayout<'_>,
         buffer: &BufferConfig,
         options: EvalOptions,
-        reuse: Option<(&EvalMemo, &[bool])>,
         scratch: &mut ComposeScratch,
         publish: &mut Publish<'_>,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
-        // Subgraph fingerprints: clean positions copy the memo's
-        // incrementally maintained fingerprint in O(1); dirty (or
-        // memo-less) positions re-fingerprint from their members. This is
-        // the only place key material is derived — everything downstream
-        // folds these fixed-size values.
-        let fps = match reuse {
-            Some((memo, dirty)) => memo.fps.refresh_positions(subgraphs, dirty),
-            None => PartitionFingerprints::from_subgraphs(subgraphs),
-        };
+    ) -> ScoredEval {
+        // Subgraph fingerprints, one per position: the only place key
+        // material is derived — everything downstream folds these
+        // fixed-size values.
+        scratch.fps.clear();
+        scratch
+            .fps
+            .extend(subgraphs.iter().map(NodeSetFp::of_members));
         let key = EvalKey::partition(
             evaluator.fingerprint(),
-            fps.positions().iter().copied(),
+            scratch.fps.iter().copied(),
             buffer,
             options,
         );
-        if let Some((cached, memo)) = self.cache.get_memoized(&key) {
+        if let Some(cached) = self.cache.get_partition(&key) {
             self.note_stats_fallbacks(evaluator);
-            return (cached, memo);
+            return cached;
         }
-        let (scored, memo) = self.compose(
-            evaluator, subgraphs, fps, buffer, options, reuse, scratch, publish,
-        );
-        self.publish_partition(publish, key, scored, memo.clone());
+        let scored = self.compose(evaluator, subgraphs, buffer, options, scratch, publish);
+        self.publish_partition(publish, key, scored);
         self.note_stats_fallbacks(evaluator);
-        (scored, memo)
+        scored
     }
 
     /// Folds the evaluator's canonicalize-fallback count into the
@@ -632,118 +461,66 @@ impl Engine {
         }
     }
 
-    /// Composes a partition score from per-subgraph terms, reusing the
-    /// caller's memo for clean positions and the subgraph-term cache for
-    /// everything else. The fold runs in execution order, so the sums are
-    /// bit-identical to `Evaluator::eval_partition`.
-    #[allow(clippy::too_many_arguments)]
+    /// Composes a partition score from per-subgraph terms, answering each
+    /// from the subgraph-term cache and scoring the misses. The fold runs
+    /// in execution order, so the sums are bit-identical to
+    /// `Evaluator::eval_partition`.
     fn compose(
         &self,
         evaluator: &Evaluator<'_>,
         subgraphs: &PartitionLayout<'_>,
-        fps: PartitionFingerprints,
         buffer: &BufferConfig,
         options: EvalOptions,
-        reuse: Option<(&EvalMemo, &[bool])>,
         scratch: &mut ComposeScratch,
         publish: &mut Publish<'_>,
-    ) -> (ScoredEval, Option<Arc<EvalMemo>>) {
+    ) -> ScoredEval {
         // A layout built from a `Partition` never holds an empty subgraph;
         // an empty partition is the one structural error left.
-        if subgraphs.num_subgraphs() == 0 {
-            return (ScoredEval::errored(buffer), None);
-        }
         let n = subgraphs.num_subgraphs();
-        // Memoized entry per clean position (fingerprint present in the
-        // memo); `MemoEntry` is `Copy`, so the scratch holds copies and
-        // the memo borrow ends here.
-        scratch.entries.clear();
-        scratch.entries.extend((0..n).map(|i| match reuse {
-            Some((memo, dirty)) if !dirty[i] => memo.lookup(fps.positions()[i]).copied(),
-            _ => None,
-        }));
-        // Weight footprints drive the next_wgt chain; dirty positions need
-        // their (evaluator-cached) statistics, clean ones read the memo.
-        scratch.stats_of.clear();
-        scratch.stats_of.resize(n, None);
-        scratch.wgts.clear();
-        for i in 0..n {
-            match scratch.entries[i] {
-                Some(entry) => scratch.wgts.push(entry.wgt_bytes),
-                None => {
-                    match evaluator.subgraph_stats_keyed(fps.positions()[i], subgraphs.subgraph(i))
-                    {
-                        Ok(stats) => {
-                            scratch.wgts.push(stats.ema_wgt_bytes);
-                            scratch.stats_of[i] = Some(stats);
-                        }
-                        Err(_) => return (ScoredEval::errored(buffer), None),
-                    }
-                }
+        if n == 0 {
+            return ScoredEval::errored(buffer);
+        }
+        // Every position's (evaluator-cached) statistics: their weight
+        // footprints drive the next_wgt chain.
+        scratch.stats.clear();
+        for (i, &fp) in scratch.fps.iter().enumerate() {
+            match evaluator.subgraph_stats_keyed(fp, subgraphs.subgraph(i)) {
+                Ok(stats) => scratch.stats.push(stats),
+                Err(_) => return ScoredEval::errored(buffer),
             }
         }
         let mut ema_bytes: u64 = 0;
         let mut energy_pj: f64 = 0.0;
         let mut fits = true;
-        // The one hot-path vector that escapes: it becomes the memo's
-        // entry list inside the returned `Arc<EvalMemo>`.
-        let mut memo_entries = Vec::with_capacity(n);
         for i in 0..n {
-            let next_wgt = if i + 1 < n { scratch.wgts[i + 1] } else { 0 };
-            let score = match scratch.entries[i] {
-                Some(entry) if entry.next_wgt == next_wgt => {
-                    self.reused.fetch_add(1, Ordering::Relaxed);
-                    entry.score
-                }
-                _ => {
-                    let key = EvalKey::subgraph(
-                        evaluator.fingerprint(),
-                        fps.positions()[i],
-                        next_wgt,
-                        buffer,
-                        options,
-                    );
-                    match self.cache.get_subgraph(&key) {
-                        Some(term) => term,
-                        None => {
-                            let stats = match scratch.stats_of[i] {
-                                Some(stats) => stats,
-                                // A clean entry whose next_wgt changed: its
-                                // statistics were computed before, so this
-                                // is an evaluator-cache hit.
-                                None => match evaluator
-                                    .subgraph_stats_keyed(fps.positions()[i], subgraphs.subgraph(i))
-                                {
-                                    Ok(stats) => stats,
-                                    Err(_) => return (ScoredEval::errored(buffer), None),
-                                },
-                            };
-                            let term =
-                                self.compute_term(evaluator, &stats, next_wgt, buffer, options);
-                            self.publish_subgraph(publish, key, term);
-                            term
-                        }
-                    }
+            let next_wgt = scratch.stats.get(i + 1).map_or(0, |s| s.ema_wgt_bytes);
+            let key = EvalKey::subgraph(
+                evaluator.fingerprint(),
+                scratch.fps[i],
+                next_wgt,
+                buffer,
+                options,
+            );
+            let score = match self.cache.get_subgraph(&key) {
+                Some(term) => term,
+                None => {
+                    let term =
+                        self.compute_term(evaluator, &scratch.stats[i], next_wgt, buffer, options);
+                    self.publish_subgraph(publish, key, term);
+                    term
                 }
             };
             ema_bytes += score.ema_bytes;
             energy_pj += score.energy_pj;
             fits &= score.fits;
-            memo_entries.push(MemoEntry {
-                wgt_bytes: scratch.wgts[i],
-                next_wgt,
-                score,
-            });
         }
-        let scored = ScoredEval {
+        ScoredEval {
             ema_bytes,
             energy_pj,
             buffer_bytes: buffer.total_bytes(),
             fits,
             error: false,
-        };
-        let memo = EvalMemo::new(evaluator.fingerprint(), *buffer, options, fps, memo_entries);
-        (scored, Some(Arc::new(memo)))
+        }
     }
 
     /// Runs `job(i)` for every `i` in `0..jobs` on the worker pool,
@@ -830,8 +607,8 @@ impl Engine {
         for (_, key, term) in subgraphs {
             self.cache.insert_subgraph(key, term);
         }
-        for (_, key, scored, memo) in partitions {
-            self.cache.insert_memoized(key, scored, memo);
+        for (_, key, scored) in partitions {
+            self.cache.insert_partition(key, scored);
         }
     }
 
@@ -839,7 +616,7 @@ impl Engine {
     /// recorded (batch/queue histograms, sweep events' counters) plus
     /// the engine's own counters absorbed under their metric names —
     /// `engine.evals`, `engine.cache.{partition,subgraph}.*`,
-    /// `engine.subgraph.*`, `engine.hot_allocs`,
+    /// `engine.subgraph.scorings`, `engine.hot_allocs`,
     /// `engine.arena.{bytes,reuses,grows}`, `engine.threads`,
     /// `engine.batch.wall_ns`. Works with telemetry disabled (the
     /// absorbed names are always present).
@@ -867,10 +644,6 @@ impl Engine {
             self.cache.subgraph_evictions(),
         );
         m.set_counter("engine.subgraph.scorings", self.cache.subgraph_misses());
-        m.set_counter(
-            "engine.subgraph.reused",
-            self.reused.load(Ordering::Relaxed),
-        );
         m.set_counter(
             "engine.hot_allocs",
             self.stats_fallbacks.load(Ordering::Relaxed),
@@ -909,7 +682,6 @@ fn chunk_len(jobs: usize, threads: usize) -> usize {
 const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
     assert_sync_send::<Engine>();
-    assert_sync_send::<EvalMemo>();
 };
 
 #[cfg(test)]
@@ -918,16 +690,14 @@ mod tests {
     use cocco_graph::NodeId;
     use cocco_sim::AcceleratorConfig;
 
-    /// Scores `p` with no hint under default options.
+    /// Scores `p` under default options.
     fn score(
         engine: &Engine,
         eval: &Evaluator<'_>,
         p: &Partition,
         buffer: &BufferConfig,
     ) -> ScoredEval {
-        engine
-            .score_partition(eval, p, buffer, EvalOptions::default(), None)
-            .0
+        engine.score_partition(eval, p, buffer, EvalOptions::default())
     }
 
     fn repaired_depth_groups(g: &cocco_graph::Graph, l: usize) -> Partition {
@@ -979,6 +749,22 @@ mod tests {
             scored.cost(CostMetric::Energy, Some(0.002)),
             report.cost_formula2(CostMetric::Energy, 0.002)
         );
+        // The same subgraphs in the same order under ids up to
+        // `u32::MAX - 1` score the same, through the same cache entry.
+        let sparse = Partition::from_assignment(
+            (0..g.len() as u32)
+                .map(|i| {
+                    if i == 0 {
+                        0
+                    } else {
+                        u32::MAX - g.len() as u32 + i
+                    }
+                })
+                .collect(),
+        );
+        assert_eq!(sparse.assignment().last(), Some(&(u32::MAX - 1)));
+        assert_eq!(score(&engine, &eval, &sparse, &buffer), scored);
+        assert_eq!(engine.metrics().counter("engine.cache.partition.hits"), 1);
     }
 
     #[test]
@@ -998,20 +784,18 @@ mod tests {
             let full = eval
                 .eval_partition(&p.subgraphs(), &buffer, options)
                 .unwrap();
-            let (cold, cold_memo) = engine.score_partition(&eval, &p, &buffer, options, None);
+            let cold = engine.score_partition(&eval, &p, &buffer, options);
             assert_eq!(cold.ema_bytes, full.ema_bytes, "L={l}");
             assert_eq!(cold.energy_pj.to_bits(), full.energy_pj.to_bits(), "L={l}");
             assert_eq!(cold.fits, full.fits, "L={l}");
-            assert!(cold_memo.is_some(), "L={l}");
             let hits = engine.metrics().counter("engine.cache.partition.hits");
-            let (hit, hit_memo) = engine.score_partition(&eval, &p, &buffer, options, None);
+            let hit = engine.score_partition(&eval, &p, &buffer, options);
             assert_eq!(hit, cold, "L={l}");
-            assert!(hit_memo.is_some(), "L={l}: hits hand back the memo");
             assert_eq!(
                 engine.metrics().counter("engine.cache.partition.hits"),
                 hits + 1
             );
-            once.score_partition(&eval, &p, &buffer, options, None);
+            once.score_partition(&eval, &p, &buffer, options);
         }
         assert!(engine.metrics().counter("engine.subgraph.scorings") > 0);
         assert_eq!(engine.cache().snapshot(), once.cache().snapshot());
@@ -1019,6 +803,9 @@ mod tests {
 
     #[test]
     fn score_delta_with_stale_memo_falls_back() {
+        // Terms are keyed by their buffer: after a buffer change the same
+        // partition scores exactly, and no term recorded under the other
+        // buffer answers a probe.
         let g = cocco_graph::models::chain(3);
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
@@ -1026,39 +813,17 @@ mod tests {
         let small = BufferConfig::shared(1 << 20);
         let big = BufferConfig::shared(2 << 20);
         let options = EvalOptions::default();
-        let (_, memo) = engine.score_partition(&eval, &p, &small, options, None);
-        let memo = memo.unwrap();
-        let clean = PartitionDelta::clean(g.len());
-        // Different buffer: the memo must not be trusted.
-        let (scored, _) = engine.score_partition(&eval, &p, &big, options, Some((&memo, &clean)));
+        engine.score_partition(&eval, &p, &small, options);
+        let scored = engine.score_partition(&eval, &p, &big, options);
         let direct = eval.eval_partition(&p.subgraphs(), &big, options).unwrap();
-        assert_eq!(scored.energy_pj, direct.energy_pj);
-        assert_eq!(engine.metrics().counter("engine.subgraph.reused"), 0);
-    }
-
-    #[test]
-    fn roll_up_hits_hand_back_memos() {
-        // The memo-on-hit path: a genome whose score comes from the
-        // partition cache still receives the breakdown recorded with the
-        // entry, so its offspring can take the delta path.
-        let g = cocco_graph::models::chain(5);
-        let eval = Evaluator::new(&g, AcceleratorConfig::default());
-        let engine = Engine::new(EngineConfig::serial());
-        let buffer = BufferConfig::shared(1 << 20);
-        let options = EvalOptions::default();
-        let pairs = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2]);
-        let (first, first_memo) = engine.score_partition(&eval, &pairs, &buffer, options, None);
-        assert!(first_memo.is_some());
-        let (second, second_memo) = engine.score_partition(&eval, &pairs, &buffer, options, None);
-        assert_eq!(first, second);
-        assert_eq!(engine.metrics().counter("engine.cache.partition.hits"), 1);
-        let memo = second_memo.expect("roll-up hit must hand back the stored memo");
-        assert_eq!(memo.len(), pairs.num_subgraphs());
-        // And the handed-back memo drives a working delta path.
-        let clean = PartitionDelta::clean(g.len());
-        let (third, _) =
-            engine.score_partition(&eval, &pairs, &buffer, options, Some((&memo, &clean)));
-        assert_eq!(third, first);
+        assert_eq!(scored.ema_bytes, direct.ema_bytes);
+        assert_eq!(scored.energy_pj.to_bits(), direct.energy_pj.to_bits());
+        let m = engine.metrics();
+        assert_eq!(m.counter("engine.cache.subgraph.hits"), 0);
+        assert_eq!(
+            m.counter("engine.cache.subgraph.misses"),
+            2 * g.len() as u64
+        );
     }
 
     #[test]
@@ -1254,38 +1019,36 @@ mod tests {
 
     #[test]
     fn score_partition_delta_hint_reuses_terms() {
+        // A one-subgraph edit re-scores only the terms it changed: the
+        // term cache answers every other subgraph.
         let g = cocco_graph::models::chain(7);
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let engine = Engine::new(EngineConfig::serial());
         let buffer = BufferConfig::shared(1 << 20);
         let options = EvalOptions::default();
-        let ids: Vec<NodeId> = g.node_ids().collect();
         // Pairs {0,1} {2,3} {4,5} {6,7} as a partition assignment.
         let p = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3, 3]);
-        let (scored, memo) = engine.score_partition(&eval, &p, &buffer, options, None);
-        let memo = memo.expect("composed this call");
-        assert!(!scored.error);
-        // Split the last pair; mark exactly its members dirty.
+        assert!(!engine.score_partition(&eval, &p, &buffer, options).error);
+        // Split the last pair.
         let mutated = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3, 4]);
-        let mut delta = PartitionDelta::clean(8);
-        delta.touch_members(&[ids[6], ids[7]]);
-        let before = engine.metrics().counter("engine.subgraph.reused");
-        let (inc, _) =
-            engine.score_partition(&eval, &mutated, &buffer, options, Some((&memo, &delta)));
+        let before = engine.metrics();
+        let scored = engine.score_partition(&eval, &mutated, &buffer, options);
         let after = engine.metrics();
-        // Subgraphs 0 and 1 reuse their terms; subgraph 2's next_wgt
-        // changed ({6,7} -> {6}), so it re-scores along with the two dirty
+        let delta = |name: &str| after.counter(name) - before.counter(name);
+        // Subgraphs 0 and 1 hit their terms; subgraph 2's next_wgt
+        // changed ({6,7} -> {6}), so it re-scores along with the two new
         // ones.
-        assert_eq!(after.counter("engine.subgraph.reused") - before, 2);
+        assert_eq!(delta("engine.cache.subgraph.hits"), 2);
+        assert_eq!(delta("engine.cache.subgraph.misses"), 3);
         let direct = eval
             .eval_partition(&mutated.subgraphs(), &buffer, options)
             .unwrap();
-        assert_eq!(inc.ema_bytes, direct.ema_bytes);
-        assert_eq!(inc.energy_pj, direct.energy_pj);
+        assert_eq!(scored.ema_bytes, direct.ema_bytes);
+        assert_eq!(scored.energy_pj, direct.energy_pj);
         assert_eq!(
             after.counter("engine.hot_allocs"),
             0,
-            "arena delta path must stay clean"
+            "the scoring path must stay clean"
         );
     }
 
@@ -1299,7 +1062,7 @@ mod tests {
         // Distinct options defeat the partition cache so every call
         // rebuilds the layout into the warmed arena.
         for batch in 1..=8u32 {
-            engine.score_partition(&eval, &p, &buffer, EvalOptions::with_batch(batch), None);
+            engine.score_partition(&eval, &p, &buffer, EvalOptions::with_batch(batch));
         }
         let m = engine.metrics();
         assert!(m.gauge("engine.arena.bytes") > 0);
@@ -1322,7 +1085,7 @@ mod tests {
         let p = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2, 3]);
         for _ in 0..3 {
             engine.dispatch(1, |_| {
-                engine.score_partition(&eval, &p, &buffer, EvalOptions::default(), None);
+                engine.score_partition(&eval, &p, &buffer, EvalOptions::default());
             });
         }
         let m = engine.metrics();
@@ -1342,11 +1105,9 @@ mod tests {
         let repeated = Engine::new(EngineConfig::serial());
         let once = Engine::new(EngineConfig::serial());
         let p = repaired_depth_groups(&g, 3);
-        let (first, _) = once.score_partition(&eval, &p, &buffer, options, None);
+        let first = once.score_partition(&eval, &p, &buffer, options);
         for _ in 0..3 {
-            let (again, memo) = repeated.score_partition(&eval, &p, &buffer, options, None);
-            assert_eq!(again, first);
-            assert!(memo.is_some(), "cache hits hand back the memo too");
+            assert_eq!(repeated.score_partition(&eval, &p, &buffer, options), first);
         }
         // Repeats are answered by the cached roll-up and change nothing
         // the cache (or its snapshot) holds.
@@ -1427,20 +1188,13 @@ mod tests {
         let snapshot_of = |threads: u32| {
             let engine = Engine::new(EngineConfig::with_threads(threads));
             engine.dispatch(partitions.len(), |i| {
-                engine.score_partition_deferred(
-                    i as u64,
-                    &eval,
-                    &partitions[i],
-                    &buffer,
-                    options,
-                    None,
-                );
+                engine.score_partition_deferred(i as u64, &eval, &partitions[i], &buffer, options);
             });
             engine.cache().snapshot()
         };
         let immediate = Engine::new(EngineConfig::serial());
         for p in &partitions {
-            immediate.score_partition(&eval, p, &buffer, options, None);
+            immediate.score_partition(&eval, p, &buffer, options);
         }
         let reference = immediate.cache().snapshot();
         for threads in [1, 2, 4] {

@@ -12,19 +12,18 @@
 //! * [`EvalCache`] — a sharded, **bounded** two-level memoization cache:
 //!   per-subgraph terms ([`SubgraphScore`], keyed by
 //!   `(evaluator fingerprint, members, next_wgt, buffer, options)`) below
-//!   whole-partition roll-ups ([`ScoredEval`] plus the entry's
-//!   [`EvalMemo`], so even cache *hits* hand a breakdown to offspring).
-//!   Keys are fixed-size [`EvalKey`] fingerprints folded from precomputed
-//!   128-bit subgraph content hashes — no per-probe allocation or member
-//!   re-hashing — the cache is objective-agnostic so one entry serves
-//!   Formula 1 and Formula 2 searches alike, growth is bounded by a
-//!   generation-sweep eviction policy (`EngineConfig::cache_capacity`),
-//!   and both levels persist across runs via [`CacheSnapshot`];
+//!   whole-partition roll-ups ([`ScoredEval`]). Keys are fixed-size
+//!   [`EvalKey`] fingerprints folded from 128-bit subgraph content
+//!   hashes — no per-probe allocation — the cache is objective-agnostic
+//!   so one entry serves Formula 1 and Formula 2 searches alike, growth
+//!   is bounded by a generation-sweep eviction policy
+//!   (`EngineConfig::cache_capacity`), and both levels persist across
+//!   runs via [`CacheSnapshot`];
 //! * [`Engine`] — pool + cache, the object a search context shares across
-//!   threads: [`Engine::score_partition`] scores a partition, and with a
-//!   parent's [`EvalMemo`] plus the mutation's delta re-scores only the
-//!   subgraphs the mutation touched; [`Engine::metrics`] reports every
-//!   counter by name;
+//!   threads: [`Engine::score_partition`] scores a partition, answering
+//!   every subgraph a mutation left untouched from the term cache and
+//!   scoring only the misses; [`Engine::metrics`] reports every counter
+//!   by name;
 //! * [`SampleBudget`] — the thread-safe evaluation budget drawn on by every
 //!   searcher: sliceable for two-step inner runs, and reservable
 //!   ([`SampleBudget::reserve`] → [`SampleReservation`]) for interleaved
@@ -56,8 +55,8 @@
 //! let engine = Engine::new(EngineConfig::auto());
 //! let whole = Partition::from_assignment(vec![0; g.len()]);
 //! let buffer = BufferConfig::shared(1 << 20);
-//! let (first, _) = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default(), None);
-//! let (second, _) = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default(), None);
+//! let first = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
+//! let second = engine.score_partition(&eval, &whole, &buffer, EvalOptions::default());
 //! assert_eq!(first.cost(CostMetric::Ema, None), second.cost(CostMetric::Ema, None));
 //! assert_eq!(engine.metrics().counter("engine.cache.partition.hits"), 1);
 //! ```
@@ -73,6 +72,6 @@ mod trace;
 pub use budget::{SampleBudget, SampleReservation};
 pub use cache::{CacheSnapshot, EvalCache, EvalKey, SNAPSHOT_VERSION};
 pub use config::{EngineConfig, ThreadCount};
-pub use engine::{DispatchPanic, Engine, EvalMemo, ScoredEval, SubgraphScore};
+pub use engine::{DispatchPanic, Engine, ScoredEval, SubgraphScore};
 pub use pool::EnginePool;
 pub use trace::{Trace, TracePoint};

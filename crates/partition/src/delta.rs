@@ -1,5 +1,5 @@
 //! Dirty-node tracking across mutation and repair — the change record the
-//! incremental evaluation path consumes.
+//! repair pipeline emits.
 
 use crate::partition::Partition;
 use crate::quotient::compact_ids;
@@ -17,14 +17,12 @@ use cocco_graph::NodeId;
 /// > previously scored partition, **all** of its current and former
 /// > members are marked dirty.
 ///
-/// Operators therefore mark whole affected subgraphs (source and target of
+/// Emitters therefore mark whole affected subgraphs (source and target of
 /// a node move, both sides of a merge, every piece of a split), not just
 /// the moved node. A subgraph containing no dirty node is guaranteed to be
-/// bit-for-bit the same member set as before, so its cached evaluation
-/// terms can be reused. The consumer (`cocco-engine`) additionally
-/// re-checks the one cross-subgraph coupling (the successor's weight
-/// prefetch) itself, so an over-conservative delta costs time and an
-/// emitter bug is bounded by that check plus the property tests.
+/// bit-for-bit the same member set as before. Scoring does not read the
+/// delta: the engine's term cache is keyed by member-set fingerprints, so
+/// every unchanged subgraph is found without being told.
 ///
 /// # Examples
 ///

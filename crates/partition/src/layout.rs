@@ -18,6 +18,7 @@
 //! [`Partition::subgraphs`]) bit for bit.
 
 use crate::partition::Partition;
+use crate::quotient::compact_ids;
 use cocco_graph::NodeId;
 
 /// A flat view of one partition's member lists: a contiguous `NodeId`
@@ -142,8 +143,25 @@ impl LayoutArena {
     /// Builds the layout of `partition` into the arena, returning a view
     /// valid until the next build. Alloc-free once the arena has grown
     /// to the partition's size.
+    ///
+    /// The counting table is indexed by subgraph id, so it is sized by the
+    /// largest id. A canonical partition has every id below the node
+    /// count; a partition with a larger id is counted over its compacted
+    /// ids instead, so no table is ever larger than the node count.
     pub fn build_from_partition(&mut self, partition: &Partition) -> PartitionLayout<'_> {
         let assignment = partition.assignment();
+        let n = assignment.len();
+        let max = assignment.iter().copied().max().map_or(0, |m| m as usize);
+        if max >= n {
+            let (_, compact) = compact_ids(assignment);
+            return self.build_dense(&compact);
+        }
+        self.build_dense(assignment)
+    }
+
+    /// The counting sort over labels all below `assignment.len()` (or an
+    /// empty assignment).
+    fn build_dense(&mut self, assignment: &[u32]) -> PartitionLayout<'_> {
         let n = assignment.len();
         let max = assignment.iter().copied().max().map_or(0, |m| m as usize);
         self.begin(n, max + 2, max + 1);
@@ -217,6 +235,8 @@ mod tests {
             vec![3, 3, 3, 3],
             vec![5, 0, 5, 0, 7, 1],
             vec![0],
+            // An id far above the node count: built over compacted ids.
+            vec![0, u32::MAX - 1, u32::MAX - 1, 3],
         ] {
             let p = Partition::from_assignment(assignment.clone());
             let mut arena = LayoutArena::new();
@@ -227,6 +247,8 @@ mod tests {
             for sub in layout.iter() {
                 assert!(sub.windows(2).all(|w| w[0] < w[1]));
             }
+            // No buffer is sized by the largest id.
+            assert!(arena.bytes() < 1024, "{assignment:?}: {} B", arena.bytes());
         }
     }
 

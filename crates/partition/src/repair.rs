@@ -16,8 +16,8 @@
 //!   whole-graph pass.
 //!
 //! The repair records, into a [`PartitionDelta`], every node whose
-//! subgraph *member set* it changed — the change record the incremental
-//! evaluation path uses to re-score only touched subgraphs. The delta is
+//! subgraph *member set* it changed (read by the repair tests and the
+//! benchmark's shadow replay; scoring does not need it). The delta is
 //! output only: nodes the caller already marked stay marked, and no
 //! subgraph is skipped because it is clean. Renumbering alone
 //! (canonicalization) emits no dirt: node-level deltas survive id

@@ -5,75 +5,50 @@ use crate::driver::EvalBatch;
 use crate::genome::Genome;
 use crate::objective::{BufferSpace, Objective};
 use cocco_engine::{
-    Engine, EngineConfig, EvalMemo, SampleBudget, SampleReservation, ScoredEval, Trace, TracePoint,
+    Engine, EngineConfig, SampleBudget, SampleReservation, ScoredEval, Trace, TracePoint,
 };
 use cocco_faults::{FaultPlan, FaultSite};
 use cocco_graph::{Graph, NodeId};
-use cocco_partition::{repair_with_delta, Partition, PartitionDelta};
+use cocco_partition::{repair, Partition, PartitionDelta};
 use cocco_sim::{BufferConfig, EvalOptions, Evaluator};
 use cocco_telemetry::Telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// What a mutation operator knows about the genome it produced: the
-/// scored parent's per-subgraph breakdown ([`EvalMemo`]) plus the
-/// [`PartitionDelta`] naming which nodes the operator moved. The
-/// evaluation path extends the delta with repair-induced changes,
-/// re-fingerprints only the dirty subgraphs (clean ones copy the memo's
-/// incrementally maintained fingerprint) and re-scores only dirty terms
-/// (plus `next_wgt` predecessors, which the engine re-checks itself).
+/// A per-candidate change record: the [`PartitionDelta`] of the nodes an
+/// operator moved.
 ///
-/// The delta **must** satisfy the member-set invariant documented on
-/// [`PartitionDelta`] relative to the memo's partition — the
-/// fingerprint-keyed cache derives key identity from it. Operators of
-/// unknown extent derive an honest delta by diffing fingerprints
-/// (`PartitionFingerprints::delta_against`) instead of guessing.
+/// No driver sets it, and evaluation ignores it: every subgraph a
+/// mutation left untouched is answered by the engine's term cache without
+/// being named. It is kept only as the field perfbench's shadow replay
+/// (`perfbench/src/traced.rs`) reads, and goes with that replay.
 #[derive(Debug)]
 pub struct EvalHint {
-    /// Per-subgraph terms of the parent genome's evaluation.
-    pub memo: Arc<EvalMemo>,
     /// Nodes whose subgraph membership the mutation changed.
     pub delta: PartitionDelta,
 }
 
-/// One genome queued for (incremental) batch evaluation.
+/// One genome queued for batch evaluation.
 ///
-/// Inputs: the genome and an optional [`EvalHint`]. Outputs, filled in by
-/// [`SearchContext::evaluate_candidates`]: the repaired genome, its
-/// objective `cost` (`None` iff the budget ran out first) and the fresh
-/// `memo` to hand to this genome's own offspring (`None` when the score
-/// came straight from the roll-up cache).
+/// Input: the genome. Outputs, filled in by
+/// [`SearchContext::evaluate_candidates`]: the repaired genome and its
+/// objective `cost` (`None` iff the budget ran out first).
 #[derive(Debug)]
 pub struct EvalCandidate {
     /// The genome; repaired in place by evaluation.
     pub genome: Genome,
-    /// Incremental-evaluation hint, consumed by evaluation.
+    /// Always `None`: no driver sets it (see [`EvalHint`]).
     pub hint: Option<EvalHint>,
-    /// The evaluation's per-subgraph breakdown (output).
-    pub memo: Option<Arc<EvalMemo>>,
     /// The objective cost (output).
     pub cost: Option<f64>,
 }
 
 impl EvalCandidate {
-    /// A candidate with no incremental hint (scored through the cache
-    /// composition path).
+    /// A candidate for `genome`.
     pub fn new(genome: Genome) -> Self {
         Self {
             genome,
             hint: None,
-            memo: None,
-            cost: None,
-        }
-    }
-
-    /// A candidate carrying its parent's breakdown and the mutation's
-    /// delta.
-    pub fn with_hint(genome: Genome, hint: Option<EvalHint>) -> Self {
-        Self {
-            genome,
-            hint,
-            memo: None,
             cost: None,
         }
     }
@@ -334,24 +309,6 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// Runs the full repair pipeline on `partition` for `buffer`
-    /// (connectivity, acyclicity, in-situ capacity splits), recording every
-    /// membership change the pipeline makes into `delta` (on top of
-    /// whatever the caller already marked).
-    pub fn repair_with_delta(
-        &self,
-        partition: Partition,
-        buffer: &BufferConfig,
-        delta: &mut PartitionDelta,
-    ) -> Partition {
-        repair_with_delta(
-            self.graph,
-            partition,
-            &|members| self.fits(members, buffer),
-            delta,
-        )
-    }
-
     /// Repairs and evaluates `genome` in place, consuming one budget
     /// sample. Returns the objective cost, or `None` when the budget is
     /// exhausted (the genome is then left unmodified).
@@ -388,18 +345,14 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Repairs and evaluates a batch of [`EvalCandidate`]s in place on the
-    /// engine's worker pool — the incremental-evaluation entry point used
-    /// by the GA and SA.
+    /// engine's worker pool — the entry point used by the GA and SA.
     ///
-    /// A candidate carrying an [`EvalHint`] is scored through the engine's
-    /// delta path: the hint's [`PartitionDelta`] (extended with whatever
-    /// the repair pipeline touches) names the dirty subgraphs, everything
-    /// else reuses the parent memo's terms. Candidates without a hint go
-    /// through the cache-composition path. Either way each candidate's
-    /// `memo` output is its own breakdown, ready to seed its offspring's
-    /// hints. Results are bit-identical across paths and thread counts
-    /// (sample indices and trace points follow input order, and every
-    /// scoring path computes the exact same pure per-subgraph terms).
+    /// Each candidate is repaired, then scored through the engine's
+    /// caches: a re-proposed partition hits the roll-up cache, and every
+    /// subgraph its mutation left untouched hits the term cache. Results
+    /// are bit-identical at any thread count (sample indices and trace
+    /// points follow input order, and every term is the same pure
+    /// per-subgraph function).
     pub fn evaluate_candidates(&self, candidates: &mut [EvalCandidate]) -> Vec<Option<f64>> {
         let mut groups = [EvalGroup {
             candidates,
@@ -537,8 +490,12 @@ impl<'a> SearchContext<'a> {
             }
             let (slot, objective, sample) = &jobs[i];
             let candidate: &mut EvalCandidate = &mut slot.lock().unwrap();
-            let (parent_memo, delta, buffer) = self.take_hint_and_repair(candidate);
-            let hint = parent_memo.as_deref().map(|memo| (memo, &delta));
+            let buffer = candidate.genome.buffer;
+            candidate.genome.partition = repair(
+                self.graph,
+                std::mem::replace(&mut candidate.genome.partition, Partition::singletons(0)),
+                &|members| self.fits(members, &buffer),
+            );
             let score = || {
                 self.engine.score_partition_deferred(
                     i as u64,
@@ -546,7 +503,6 @@ impl<'a> SearchContext<'a> {
                     &candidate.genome.partition,
                     &buffer,
                     self.options,
-                    hint,
                 )
             };
             if eval_error {
@@ -557,8 +513,8 @@ impl<'a> SearchContext<'a> {
                 let _ = score();
                 self.faults.log().note_eval_rescore();
             }
-            let (scored, memo) = score();
-            self.finish_scored(&results, i, *objective, *sample, candidate, scored, memo);
+            let scored = score();
+            self.finish_scored(&results, i, *objective, *sample, candidate, scored);
         });
         if let Err(panic) = dispatched {
             // Discard every funded candidate uniformly (some may have
@@ -570,8 +526,6 @@ impl<'a> SearchContext<'a> {
                     .into_inner()
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
                 candidate.cost = None;
-                candidate.memo = None;
-                candidate.hint = None;
             }
             self.quarantine_batch(panic.message, groups, &funded_per_group);
             return;
@@ -584,31 +538,9 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// The per-candidate evaluation prologue: consume the incremental
-    /// hint, extend its delta with repair-induced changes, and repair the
-    /// genome in place. Pure per candidate, so it runs inside pool
-    /// workers.
-    fn take_hint_and_repair(
-        &self,
-        candidate: &mut EvalCandidate,
-    ) -> (Option<Arc<EvalMemo>>, PartitionDelta, BufferConfig) {
-        let buffer = candidate.genome.buffer;
-        let (parent_memo, mut delta) = match candidate.hint.take() {
-            Some(hint) => (Some(hint.memo), hint.delta),
-            None => (None, PartitionDelta::all(self.graph.len())),
-        };
-        candidate.genome.partition = self.repair_with_delta(
-            std::mem::replace(&mut candidate.genome.partition, Partition::singletons(0)),
-            &buffer,
-            &mut delta,
-        );
-        (parent_memo, delta, buffer)
-    }
-
-    /// The per-candidate evaluation epilogue: store the memo and cost on
-    /// the candidate and park its trace point in `results[i]` (recorded
-    /// in funding order after the batch completes).
-    #[allow(clippy::too_many_arguments)]
+    /// The per-candidate evaluation epilogue: store the cost on the
+    /// candidate and park its trace point in `results[i]` (recorded in
+    /// funding order after the batch completes).
     fn finish_scored(
         &self,
         results: &[Mutex<Option<TracePoint>>],
@@ -617,9 +549,7 @@ impl<'a> SearchContext<'a> {
         sample: u64,
         candidate: &mut EvalCandidate,
         scored: ScoredEval,
-        memo: Option<Arc<EvalMemo>>,
     ) {
-        candidate.memo = memo;
         if scored.error {
             self.trace.record_infeasible_error();
         }
@@ -719,9 +649,9 @@ impl<'a> SearchContext<'a> {
     /// The full objective cost of a valid partition under `buffer`, without
     /// consuming budget (used to score deterministic baseline outputs).
     pub fn partition_cost(&self, partition: &Partition, buffer: &BufferConfig) -> f64 {
-        let (scored, _) =
-            self.engine
-                .score_partition(self.evaluator, partition, buffer, self.options, None);
+        let scored = self
+            .engine
+            .score_partition(self.evaluator, partition, buffer, self.options);
         if scored.error {
             self.trace.record_infeasible_error();
         }

@@ -18,10 +18,9 @@
 //! serde-serializable [`DriverState`] snapshot: round-tripping it through
 //! JSON and resuming with `SearchMethod::driver_from_state` continues the
 //! run **bit-identically** (best cost, genome and trace equal to the
-//! uninterrupted seeded run, at any thread count). Snapshots deliberately
-//! drop in-memory [`EvalMemo`](cocco_engine::EvalMemo)s — memos are a
-//! wall-clock optimization, so a resumed run recomputes a little more but
-//! never scores differently.
+//! uninterrupted seeded run, at any thread count). Snapshots hold search
+//! state only: the engine's caches never change a score, so a resumed run
+//! may recompute more but never scores differently.
 //!
 //! [`run_driver`] is the thin default loop every [`Searcher`] now runs
 //! through; on top of the same uniform step surface sit the interleaved
@@ -128,16 +127,15 @@ pub trait SearchDriver: Send {
     /// Advances the state machine and yields the next step.
     fn next_batch(&mut self, ctx: &SearchContext<'_>) -> Step;
 
-    /// Feeds an evaluated batch back (costs/memos filled in; a candidate
-    /// with `cost == None` was not funded — the budget ran out).
+    /// Feeds an evaluated batch back (costs filled in; a candidate with
+    /// `cost == None` was not funded — the budget ran out).
     fn absorb(&mut self, ctx: &SearchContext<'_>, batch: EvalBatch);
 
     /// The best-so-far outcome (final once [`Step::Done`] was returned).
     fn outcome(&self) -> SearchOutcome;
 
     /// A serializable snapshot of the driver's state, valid between any
-    /// two steps. In-memory evaluation memos are dropped (performance
-    /// only, never results).
+    /// two steps.
     fn state(&self) -> DriverState;
 }
 

@@ -1,26 +1,22 @@
 //! The Cocco genetic co-exploration engine (paper §4.3-§4.4, Figure 9).
 
-use crate::context::{EvalCandidate, EvalHint, SearchContext};
+use crate::context::{EvalCandidate, SearchContext};
 use crate::driver::{
     rng_from_state, rng_state, run_driver, DriverState, EvalBatch, SearchDriver, Step,
 };
 use crate::genome::Genome;
 use crate::outcome::{SearchOutcome, Searcher};
-use cocco_engine::EvalMemo;
 use cocco_graph::Graph;
-use cocco_partition::{Partition, PartitionDelta};
+use cocco_partition::Partition;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
-/// One scored population member: the genome, its cost and the evaluation's
-/// per-subgraph breakdown (seed for its offspring's incremental hints).
-#[derive(Clone, Debug)]
+/// One scored population member: the genome and its cost.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 struct Member {
     genome: Genome,
     cost: f64,
-    memo: Option<Arc<EvalMemo>>,
 }
 
 /// Per-operation mutation probabilities (each applied independently).
@@ -174,20 +170,12 @@ enum GaPhase {
     Done,
 }
 
-/// One serialized population member (the in-memory memo is dropped — a
-/// resumed run re-derives breakdowns lazily, bit-identically).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-struct GaMember {
-    genome: Genome,
-    cost: f64,
-}
-
 /// Serializable state of a [`GaDriver`], valid between any two steps.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GaState {
     rng: Vec<u64>,
     phase: GaPhase,
-    population: Vec<GaMember>,
+    population: Vec<Member>,
     /// Warm partitions queued for injection into the next generation
     /// (cross-candidate elite migration in the interleaved two-step).
     pending: Vec<Partition>,
@@ -224,22 +212,13 @@ impl GaDriver {
         }
     }
 
-    /// Resumes a driver from a serialized state (memos start empty; the
-    /// first resumed generation recomputes them, results unchanged).
+    /// Resumes a driver from a serialized state.
     pub fn from_state(config: GaConfig, state: GaState) -> Self {
         Self {
             config,
             rng: rng_from_state(&state.rng),
             phase: state.phase,
-            population: state
-                .population
-                .into_iter()
-                .map(|m| Member {
-                    genome: m.genome,
-                    cost: m.cost,
-                    memo: None,
-                })
-                .collect(),
+            population: state.population,
             pending: state.pending,
             outcome: state.outcome,
         }
@@ -297,7 +276,7 @@ impl GaDriver {
             }
         }
         while offspring.len() < cfg.population {
-            let child = if self.rng.gen_bool(cfg.crossover_fraction.clamp(0.0, 1.0))
+            let mut child = if self.rng.gen_bool(cfg.crossover_fraction.clamp(0.0, 1.0))
                 && self.population.len() >= 2
             {
                 let dad_idx = self.rng.gen_range(0..self.population.len());
@@ -306,55 +285,16 @@ impl GaDriver {
                     &self.population[dad_idx].genome,
                     &self.population[mom_idx].genome,
                 );
-                let mut child = Genome::new(
+                Genome::new(
                     crossover(graph, &dad.partition, &mom.partition, &mut self.rng),
                     ctx.space.blend(dad.buffer, mom.buffer),
-                );
-                // A crossover child reproduces whole parent subgraphs,
-                // so dad's memo still covers many of its member sets —
-                // but crossover edits are of unknown extent, so the
-                // honest delta (required by the fingerprint-keyed
-                // incremental path) is derived by diffing the child's
-                // subgraph fingerprints against dad's: exactly the
-                // nodes whose member set changed are marked. (When the
-                // blended buffer differs from dad's the engine drops
-                // the memo and the term cache takes over.)
-                let mut delta = match &self.population[dad_idx].memo {
-                    Some(memo) => memo.fingerprints().delta_against(&child.partition),
-                    None => PartitionDelta::all(graph.len()),
-                };
-                mutate_with_delta(
-                    ctx,
-                    graph,
-                    &mut child,
-                    &cfg.mutation,
-                    &mut self.rng,
-                    &mut delta,
-                );
-                let hint = self.population[dad_idx]
-                    .memo
-                    .clone()
-                    .map(|memo| EvalHint { memo, delta });
-                EvalCandidate::with_hint(child, hint)
+                )
             } else {
                 let parent = tournament(&self.population, cfg.tournament, &mut self.rng);
-                let mut child = self.population[parent].genome.clone();
-                let mut delta = PartitionDelta::clean(graph.len());
-                mutate_with_delta(
-                    ctx,
-                    graph,
-                    &mut child,
-                    &cfg.mutation,
-                    &mut self.rng,
-                    &mut delta,
-                );
-                let hint = self.population[parent]
-                    .memo
-                    .clone()
-                    .map(|memo| EvalHint { memo, delta });
-                EvalCandidate::with_hint(child, hint)
+                self.population[parent].genome.clone()
             };
-            offspring.push(child);
+            mutate(ctx, graph, &mut child, &cfg.mutation, &mut self.rng);
+            offspring.push(EvalCandidate::new(child));
         }
         offspring
     }
@@ -391,7 +331,6 @@ impl SearchDriver for GaDriver {
                     self.population.push(Member {
                         genome: candidate.genome,
                         cost,
-                        memo: candidate.memo,
                     });
                 }
                 self.phase = GaPhase::Evolve;
@@ -407,7 +346,6 @@ impl SearchDriver for GaDriver {
                     pool.push(Member {
                         genome: candidate.genome,
                         cost,
-                        memo: candidate.memo,
                     });
                 }
                 let mut next: Vec<Member> = Vec::with_capacity(cfg.population);
@@ -437,14 +375,7 @@ impl SearchDriver for GaDriver {
         DriverState::Ga(GaState {
             rng: rng_state(&self.rng),
             phase: self.phase,
-            population: self
-                .population
-                .iter()
-                .map(|m| GaMember {
-                    genome: m.genome.clone(),
-                    cost: m.cost,
-                })
-                .collect(),
+            population: self.population.clone(),
             pending: self.pending.clone(),
             outcome: self.outcome.clone(),
         })
@@ -532,22 +463,13 @@ pub(crate) fn crossover(
 }
 
 /// Applies the four customized mutations, each with its own probability
-/// (shared with the simulated-annealing baseline, paper §4.2.4), recording
-/// into `delta` every node whose subgraph membership changes.
-///
-/// The delta invariant is member-set based: an operator that changes a
-/// subgraph's member set marks **all** of that subgraph's (old and new)
-/// members, so an unmarked subgraph is guaranteed untouched and its cached
-/// evaluation terms can be reused. A DSE (buffer) perturbation marks no
-/// nodes — the buffer is part of every term's cache key, so the engine
-/// detects the change itself and drops the memo.
-pub(crate) fn mutate_with_delta(
+/// (shared with the simulated-annealing baseline, paper §4.2.4).
+pub(crate) fn mutate(
     ctx: &SearchContext<'_>,
     graph: &Graph,
     genome: &mut Genome,
     rates: &MutationRates,
     rng: &mut StdRng,
-    delta: &mut PartitionDelta,
 ) {
     let n = graph.len();
     if rng.gen_bool(rates.modify_node.clamp(0.0, 1.0)) {
@@ -566,10 +488,6 @@ pub(crate) fn mutate_with_delta(
         candidates.dedup();
         candidates.push(genome.partition.fresh_id());
         let target = candidates[rng.gen_range(0..candidates.len())];
-        // Both the donor's and the receiver's member sets change.
-        delta.touch_subgraph(&genome.partition, genome.partition.subgraph_of(node));
-        delta.touch_subgraph(&genome.partition, target);
-        delta.touch(node);
         genome.partition.assign(node, target);
     }
     if rng.gen_bool(rates.split_subgraph.clamp(0.0, 1.0)) {
@@ -580,7 +498,6 @@ pub(crate) fn mutate_with_delta(
             let group = splittable[rng.gen_range(0..splittable.len())];
             let cut = rng.gen_range(1..group.len());
             let fresh = genome.partition.fresh_id();
-            delta.touch_members(group);
             for &m in &group[cut..] {
                 genome.partition.assign(m, fresh);
             }
@@ -597,8 +514,6 @@ pub(crate) fn mutate_with_delta(
         if !edges.is_empty() {
             let (a, b) = edges[rng.gen_range(0..edges.len())];
             let target = genome.partition.subgraph_of(groups[a as usize][0]);
-            delta.touch_members(&groups[a as usize]);
-            delta.touch_members(&groups[b as usize]);
             for &m in &groups[b as usize] {
                 genome.partition.assign(m, target);
             }

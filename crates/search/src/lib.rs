@@ -77,7 +77,6 @@ mod twostep;
 // Budget and trace primitives live in the engine crate; re-exported here so
 // existing `cocco_search::{SampleBudget, Trace, TracePoint}` paths keep
 // working.
-pub use cocco_engine::EvalMemo;
 pub use cocco_engine::{Engine, EngineConfig, SampleBudget, SampleReservation, ThreadCount};
 pub use cocco_engine::{Trace, TracePoint};
 pub use cocco_partition::PartitionDelta;

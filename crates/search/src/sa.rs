@@ -1,18 +1,15 @@
 //! Simulated-annealing baseline (paper §4.2.4).
 
-use crate::context::{EvalCandidate, EvalHint, SearchContext};
+use crate::context::{EvalCandidate, SearchContext};
 use crate::driver::{
     rng_from_state, rng_state, run_driver, DriverState, EvalBatch, SearchDriver, Step,
 };
-use crate::ga::{mutate_with_delta, MutationRates};
+use crate::ga::{mutate, MutationRates};
 use crate::genome::Genome;
 use crate::outcome::{SearchOutcome, Searcher};
-use cocco_engine::EvalMemo;
-use cocco_partition::PartitionDelta;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Configuration of [`SimulatedAnnealing`].
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -148,11 +145,6 @@ pub struct SaDriver {
     phase: SaPhase,
     current: Option<Genome>,
     current_cost: f64,
-    /// The current state's breakdown (seeds each neighbor's incremental
-    /// hint); the best state's breakdown restores it on restarts. Both are
-    /// in-memory only — a resumed run re-derives them lazily.
-    current_memo: Option<Arc<EvalMemo>>,
-    best_memo: Option<Arc<EvalMemo>>,
     temperature: f64,
     rejected: u64,
     outcome: SearchOutcome,
@@ -168,8 +160,6 @@ impl SaDriver {
             phase: SaPhase::Init,
             current: None,
             current_cost: f64::INFINITY,
-            current_memo: None,
-            best_memo: None,
             temperature: 0.0,
             rejected: 0,
             outcome: SearchOutcome::empty(),
@@ -184,8 +174,6 @@ impl SaDriver {
             phase: state.phase,
             current: state.current,
             current_cost: state.current_cost,
-            current_memo: None,
-            best_memo: None,
             temperature: state.temperature,
             rejected: state.rejected,
             outcome: state.outcome,
@@ -208,8 +196,8 @@ impl SearchDriver for SaDriver {
             SaPhase::Anneal => {
                 // Propose a batch of neighbors of the current state (serial
                 // RNG draws keep the proposal sequence seed-deterministic);
-                // each neighbor carries the current state's memo plus its
-                // own mutation delta, so only touched subgraphs re-score.
+                // the term cache answers each neighbor's untouched
+                // subgraphs, so only the touched ones re-score.
                 let graph = ctx.graph();
                 // cocco-audit: allow(R1) the Anneal phase is only entered after Seed sets self.current
                 let current = self.current.clone().expect("annealing has a current state");
@@ -217,20 +205,14 @@ impl SearchDriver for SaDriver {
                 let neighbors: Vec<EvalCandidate> = (0..batch)
                     .map(|_| {
                         let mut candidate = current.clone();
-                        let mut delta = PartitionDelta::clean(graph.len());
-                        mutate_with_delta(
+                        mutate(
                             ctx,
                             graph,
                             &mut candidate,
                             &self.config.mutation,
                             &mut self.rng,
-                            &mut delta,
                         );
-                        let hint = self
-                            .current_memo
-                            .clone()
-                            .map(|memo| EvalHint { memo, delta });
-                        EvalCandidate::with_hint(candidate, hint)
+                        EvalCandidate::new(candidate)
                     })
                     .collect();
                 Step::Evaluate(EvalBatch::single(neighbors))
@@ -255,8 +237,6 @@ impl SearchDriver for SaDriver {
                 self.outcome.samples += 1;
                 self.current = Some(candidate.genome.clone());
                 self.current_cost = cost;
-                self.current_memo = candidate.memo;
-                self.best_memo = self.current_memo.clone();
                 self.outcome.consider(candidate.genome, cost);
                 // Temperature in absolute cost units.
                 let scale = if cost.is_finite() { cost } else { 1.0 };
@@ -271,11 +251,7 @@ impl SearchDriver for SaDriver {
                         return;
                     };
                     self.outcome.samples += 1;
-                    let improved = cost < self.outcome.best_cost;
                     self.outcome.consider(candidate.genome.clone(), cost);
-                    if improved {
-                        self.best_memo = candidate.memo.clone();
-                    }
                     let accept = cost <= self.current_cost || {
                         let delta = cost - self.current_cost;
                         self.temperature > 0.0
@@ -284,7 +260,6 @@ impl SearchDriver for SaDriver {
                     if accept {
                         self.current = Some(candidate.genome);
                         self.current_cost = cost;
-                        self.current_memo = candidate.memo;
                         self.rejected = 0;
                     } else {
                         self.rejected += 1;
@@ -292,7 +267,6 @@ impl SearchDriver for SaDriver {
                             if let Some(best) = &self.outcome.best {
                                 self.current = Some(best.clone());
                                 self.current_cost = self.outcome.best_cost;
-                                self.current_memo = self.best_memo.clone();
                             }
                             self.rejected = 0;
                         }

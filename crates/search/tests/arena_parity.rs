@@ -2,23 +2,22 @@
 //!
 //! Drives seeded random mutation / repair / crossover walks through
 //! `SearchContext::evaluate_candidates` — the same operator shapes the GA
-//! uses, including incremental [`EvalHint`]s — and checks the production
-//! batch pipeline (flat layout arenas, delta scoring, the shared cache,
-//! deferred publication) against an oracle for **every** scored
-//! candidate: a fresh `Evaluator::eval_partition` of its repaired genome.
+//! uses — and checks the production batch pipeline (flat layout arenas,
+//! the shared two-level cache, deferred publication) against an oracle
+//! for **every** scored candidate: a fresh `Evaluator::eval_partition` of
+//! its repaired genome.
 //! Walks at 1 and 4 worker threads must also be
 //! bit-identical on every observable output: the full cost stream, the
 //! final (repaired) genomes, the recorded trace and the persisted cache
 //! snapshot — on `resnet50` and `randwire-a`.
 
-use cocco_engine::{CacheSnapshot, EngineConfig, EvalMemo, TracePoint};
+use cocco_engine::{CacheSnapshot, EngineConfig, TracePoint};
 use cocco_graph::{Graph, NodeId};
-use cocco_partition::{Partition, PartitionDelta};
-use cocco_search::{BufferSpace, EvalCandidate, EvalHint, Genome, Objective, SearchContext};
+use cocco_partition::Partition;
+use cocco_search::{BufferSpace, EvalCandidate, Genome, Objective, SearchContext};
 use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, EvalOptions, Evaluator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 const POP: usize = 6;
 const ROUNDS: usize = 5;
@@ -79,48 +78,34 @@ fn walk(model: &Graph, threads: u32) -> WalkResult {
             Genome::new(Partition::from_assignment(assignment), BUFFER)
         })
         .collect();
-    let mut memos: Vec<Option<Arc<EvalMemo>>> = vec![None; POP];
     let mut costs = Vec::new();
     for _ in 0..ROUNDS {
         let mut candidates: Vec<EvalCandidate> = (0..POP)
             .map(|i| match rng.gen_range(0..3u32) {
                 0 => {
-                    // Move-node mutation with the GA's member-set delta
-                    // discipline: donor and receiver subgraphs are fully
-                    // touched, so unmarked terms are reusable.
+                    // Move-node mutation.
                     let mut child = genomes[i].clone();
-                    let mut delta = PartitionDelta::clean(model.len());
                     for _ in 0..rng.gen_range(1..4u32) {
                         let node = ids[rng.gen_range(0..ids.len())];
                         let target = child
                             .partition
                             .subgraph_of(ids[rng.gen_range(0..ids.len())]);
-                        delta.touch_subgraph(&child.partition, child.partition.subgraph_of(node));
-                        delta.touch_subgraph(&child.partition, target);
-                        delta.touch(node);
                         child.partition.assign(node, target);
                     }
-                    let hint = memos[i].clone().map(|memo| EvalHint { memo, delta });
-                    EvalCandidate::with_hint(child, hint)
+                    EvalCandidate::new(child)
                 }
                 1 => {
-                    // Single-point assignment crossover; the delta is the
-                    // honest fingerprint diff against the parent memo.
+                    // Single-point assignment crossover.
                     let j = rng.gen_range(0..POP);
                     let cut = rng.gen_range(0..=model.len());
                     let a = genomes[i].partition.assignment();
                     let b = genomes[j].partition.assignment();
                     let mut assignment = a[..cut].to_vec();
                     assignment.extend_from_slice(&b[cut..]);
-                    let child = Genome::new(Partition::from_assignment(assignment), BUFFER);
-                    let hint = memos[i].clone().map(|memo| {
-                        let delta = memo.fingerprints().delta_against(&child.partition);
-                        EvalHint { memo, delta }
-                    });
-                    EvalCandidate::with_hint(child, hint)
+                    EvalCandidate::new(Genome::new(Partition::from_assignment(assignment), BUFFER))
                 }
-                // Re-evaluation without a hint: the cache-composition
-                // path (an exact roll-up hit after round one).
+                // Re-evaluation of an unchanged genome (an exact roll-up
+                // hit after round one).
                 _ => EvalCandidate::new(genomes[i].clone()),
             })
             .collect();
@@ -128,7 +113,6 @@ fn walk(model: &Graph, threads: u32) -> WalkResult {
         assert_matches_oracle(&oracle, &candidates, threads);
         for (i, candidate) in candidates.into_iter().enumerate() {
             genomes[i] = candidate.genome;
-            memos[i] = candidate.memo;
         }
     }
     assert_eq!(

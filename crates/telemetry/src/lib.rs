@@ -39,8 +39,8 @@
 //!   batches run on the caller — one unit, or a one-worker engine)
 //! - `engine.cache.partition.hits` / `.misses` / `.evictions` and the
 //!   `.entries` gauge (and `…cache.subgraph.*` for the second level)
-//! - `engine.subgraph.scorings` / `.reused` (subgraph terms computed
-//!   fresh, and copied from a parent's memo on the delta path)
+//! - `engine.subgraph.scorings` (subgraph terms computed fresh — the
+//!   term cache's misses)
 //! - `engine.hot_allocs` (the hot-path allocation tripwire: statistics
 //!   misses that had to sort an out-of-order member list; 0 in
 //!   production) and `engine.arena.bytes` / `.reuses` / `.grows`

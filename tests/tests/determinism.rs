@@ -44,8 +44,8 @@ fn ga_is_bit_identical_at_any_thread_count() {
             "never hit the eval cache ({cell})"
         );
         assert!(
-            m.counter("engine.subgraph.reused") > 0,
-            "offspring never reused a memoized subgraph term ({cell})"
+            m.counter("engine.cache.subgraph.hits") > 0,
+            "offspring never hit a cached subgraph term ({cell})"
         );
         (
             out.best_cost,

@@ -1,17 +1,14 @@
-//! Incremental (subgraph-granular) evaluation: bit-identity with the
-//! whole-partition evaluator over random mutation sequences, across thread
-//! counts, and for every stochastic searcher — the acceptance tests of the
-//! delta pipeline.
+//! Subgraph-granular evaluation: bit-identity with the whole-partition
+//! evaluator over random mutation sequences, across thread counts, and for
+//! every stochastic searcher, with the term cache answering the subgraphs
+//! a mutation left untouched.
 
 use cocco::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
-/// One random partition edit in the style of the GA operators, recording
-/// the touched subgraphs into `delta` under the member-set invariant
-/// (every member of every changed subgraph is marked).
-fn random_edit(g: &Graph, p: &mut Partition, delta: &mut PartitionDelta, rng: &mut StdRng) {
+/// One random partition edit in the style of the GA operators.
+fn random_edit(g: &Graph, p: &mut Partition, rng: &mut StdRng) {
     match rng.gen_range(0..3u32) {
         0 => {
             // Move one node to a neighbouring or fresh subgraph.
@@ -27,9 +24,6 @@ fn random_edit(g: &Graph, p: &mut Partition, delta: &mut PartitionDelta, rng: &m
             candidates.dedup();
             candidates.push(p.fresh_id());
             let target = candidates[rng.gen_range(0..candidates.len())];
-            delta.touch_subgraph(p, p.subgraph_of(node));
-            delta.touch_subgraph(p, target);
-            delta.touch(node);
             p.assign(node, target);
         }
         1 => {
@@ -40,7 +34,6 @@ fn random_edit(g: &Graph, p: &mut Partition, delta: &mut PartitionDelta, rng: &m
                 let group = splittable[rng.gen_range(0..splittable.len())];
                 let cut = rng.gen_range(1..group.len());
                 let fresh = p.fresh_id();
-                delta.touch_members(group);
                 for &m in &group[cut..] {
                     p.assign(m, fresh);
                 }
@@ -56,42 +49,9 @@ fn random_edit(g: &Graph, p: &mut Partition, delta: &mut PartitionDelta, rng: &m
             if !edges.is_empty() {
                 let (a, b) = edges[rng.gen_range(0..edges.len())];
                 let target = p.subgraph_of(groups[a as usize][0]);
-                delta.touch_members(&groups[a as usize]);
-                delta.touch_members(&groups[b as usize]);
                 for &m in &groups[b as usize] {
                     p.assign(m, target);
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn incrementally_maintained_fingerprints_equal_from_scratch_fingerprints() {
-    // The fingerprint property test of the zero-rehash cache identity:
-    // over random mutation + repair sequences, refreshing only the dirty
-    // subgraphs' fingerprints must reproduce a from-scratch recomputation,
-    // bit for bit, on every step.
-    for model in ["randwire-a", "resnet50"] {
-        let g = cocco::graph::models::by_name(model).unwrap();
-        let mut rng = StdRng::seed_from_u64(0xF19E5);
-        let mut partition = repair(&g, Partition::connected_groups(&g, 4), &|m| m.len() <= 12);
-        let mut fps = PartitionFingerprints::compute(&partition);
-        for step in 0..80 {
-            let mut delta = PartitionDelta::clean(g.len());
-            for _ in 0..rng.gen_range(1..=3u32) {
-                random_edit(&g, &mut partition, &mut delta, &mut rng);
-            }
-            partition = repair_with_delta(&g, partition, &|m| m.len() <= 12, &mut delta);
-            fps = fps.refresh(&partition, &delta);
-            assert_eq!(
-                fps,
-                PartitionFingerprints::compute(&partition),
-                "{model} step {step}: incremental fingerprints diverged from recompute"
-            );
-            // And the by-position view matches the member lists.
-            for (members, &fp) in partition.subgraphs().iter().zip(fps.positions()) {
-                assert_eq!(fp, NodeSetFp::of_members(members), "{model} step {step}");
             }
         }
     }
@@ -113,52 +73,36 @@ fn incremental_scoring_is_bit_identical_over_random_mutation_sequences() {
 
         let mut rng = StdRng::seed_from_u64(0xDE17A);
         let mut partition = repair(&g, Partition::connected_groups(&g, 4), &fits);
-        let (scored, memo) = engine.score_partition(&evaluator, &partition, &buffer, options, None);
+        let scored = engine.score_partition(&evaluator, &partition, &buffer, options);
         assert!(!scored.error, "{model}: seed partition must score");
-        let mut memo: Arc<EvalMemo> = memo.expect("first composition returns a memo");
 
-        let mut reused_total = 0u64;
+        let term_hits = || engine.metrics().counter("engine.cache.subgraph.hits");
+        let before = term_hits();
         for step in 0..60 {
-            // Mutate (1-3 edits), repair, then score through the delta path
-            // and compare against the whole-partition evaluator, bit for
-            // bit.
-            let mut delta = PartitionDelta::clean(g.len());
+            // Mutate (1-3 edits), repair, then score through the engine's
+            // caches and compare against the whole-partition evaluator,
+            // bit for bit.
             for _ in 0..rng.gen_range(1..=3u32) {
-                random_edit(&g, &mut partition, &mut delta, &mut rng);
+                random_edit(&g, &mut partition, &mut rng);
             }
-            partition = repair_with_delta(&g, partition, &fits, &mut delta);
-            let reused = || engine.metrics().counter("engine.subgraph.reused");
-            let before = reused();
-            let (incremental, next_memo) = engine.score_partition(
-                &evaluator,
-                &partition,
-                &buffer,
-                options,
-                Some((&memo, &delta)),
-            );
-            reused_total += reused() - before;
+            partition = repair(&g, partition, &fits);
+            let cached = engine.score_partition(&evaluator, &partition, &buffer, options);
             let full = evaluator
                 .eval_partition(&partition.subgraphs(), &buffer, options)
                 .unwrap();
             assert_eq!(
-                incremental.ema_bytes, full.ema_bytes,
+                cached.ema_bytes, full.ema_bytes,
                 "{model} step {step}: EMA diverged"
             );
             assert_eq!(
-                incremental.energy_pj, full.energy_pj,
+                cached.energy_pj, full.energy_pj,
                 "{model} step {step}: energy diverged (must be bit-identical)"
             );
-            assert_eq!(
-                incremental.fits, full.fits,
-                "{model} step {step}: fits diverged"
-            );
-            if let Some(next) = next_memo {
-                memo = next;
-            }
+            assert_eq!(cached.fits, full.fits, "{model} step {step}: fits diverged");
         }
         assert!(
-            reused_total > 0,
-            "{model}: the walk never reused a term — the delta path is dead"
+            term_hits() > before,
+            "{model}: the walk never hit a cached term — untouched subgraphs were re-scored"
         );
     }
 }
@@ -236,10 +180,11 @@ fn ga_sa_twostep_incremental_matches_full_path_at_any_thread_count() {
             0,
             "{name}: the batch path allocated on the hot path"
         );
-        // And the delta path is live on the mutation-heavy searchers.
+        // And the term cache answers untouched subgraphs on the
+        // mutation-heavy searchers.
         assert!(
-            reference.3.counter("engine.subgraph.reused") > 0,
-            "{name}: no memoized subgraph term was ever reused"
+            reference.3.counter("engine.cache.subgraph.hits") > 0,
+            "{name}: no cached subgraph term was ever hit"
         );
     }
 }
@@ -282,8 +227,9 @@ fn persistent_scoped_and_serial_pools_are_bit_identical() {
 
 #[test]
 fn delta_reuse_survives_dse_buffer_changes() {
-    // A DSE mutation changes the buffer without touching the partition;
-    // the engine must detect the stale memo itself and still be exact.
+    // A DSE mutation changes the buffer without touching the partition:
+    // the buffer is part of every term's key, so the re-score is exact and
+    // no term recorded under the old buffer answers a probe.
     let g = cocco::graph::models::googlenet();
     let evaluator = Evaluator::new(&g, AcceleratorConfig::default());
     let engine = Engine::new(EngineConfig::serial());
@@ -291,23 +237,15 @@ fn delta_reuse_survives_dse_buffer_changes() {
     let partition = repair(&g, Partition::connected_groups(&g, 3), &|_| true);
     let small = BufferConfig::shared(1 << 20);
     let large = BufferConfig::shared(2 << 20);
-    let (_, memo) = engine.score_partition(&evaluator, &partition, &small, options, None);
-    let memo = memo.unwrap();
-    let clean = PartitionDelta::clean(g.len());
-    let (scored, _) = engine.score_partition(
-        &evaluator,
-        &partition,
-        &large,
-        options,
-        Some((&memo, &clean)),
-    );
+    engine.score_partition(&evaluator, &partition, &small, options);
+    let scored = engine.score_partition(&evaluator, &partition, &large, options);
     let full = evaluator
         .eval_partition(&partition.subgraphs(), &large, options)
         .unwrap();
     assert_eq!(scored.energy_pj, full.energy_pj);
     assert_eq!(scored.ema_bytes, full.ema_bytes);
     assert_eq!(
-        engine.metrics().counter("engine.subgraph.reused"),
+        engine.metrics().counter("engine.cache.subgraph.hits"),
         0,
         "terms under another buffer must never be reused"
     );

@@ -11,7 +11,11 @@ use cocco_tests::CACHE_COUNTERS;
 /// run to run by construction; the counters that must not differ are
 /// returned and compared on their own. Everything else — genome, report,
 /// cost, samples, trace, error counter — must be bit-identical.
-fn run(method: SearchMethod, threads: u32, telemetry: Option<&Telemetry>) -> ([u64; 6], String) {
+fn run(
+    method: SearchMethod,
+    threads: u32,
+    telemetry: Option<&Telemetry>,
+) -> ([u64; CACHE_COUNTERS.len()], String) {
     let model = cocco::graph::models::googlenet();
     let mut session = Cocco::new()
         .with_method(method)
