@@ -68,10 +68,12 @@ fn main() {
                 Objective::partition_only(CostMetric::Energy),
                 budget,
             );
-            CoccoGa::default()
-                .with_population(scale.population)
-                .with_seed(1)
-                .run(&ctx);
+            SearchMethod::Ga(GaConfig {
+                population: scale.population,
+                ..GaConfig::default()
+            })
+            .with_seed(1)
+            .run(&ctx);
             runs.push((
                 match label {
                     "Buf(S)" => "Buf(S)+GA",
@@ -90,8 +92,7 @@ fn main() {
                 objective,
                 budget,
             );
-            method
-                .with_per_candidate((budget / 10).max(1))
+            SearchMethod::TwoStep(method.with_per_candidate((budget / 10).max(1)))
                 .with_seed(2)
                 .run(&ctx);
             runs.push((label, ctx));
@@ -105,7 +106,7 @@ fn main() {
                 objective,
                 budget,
             );
-            SimulatedAnnealing::default().with_seed(3).run(&ctx);
+            SearchMethod::sa().with_seed(3).run(&ctx);
             runs.push(("SA", ctx));
         }
         let cocco_ctx = SearchContext::new(
@@ -115,10 +116,12 @@ fn main() {
             objective,
             budget,
         );
-        CoccoGa::default()
-            .with_population(scale.population)
-            .with_seed(4)
-            .run(&cocco_ctx);
+        SearchMethod::Ga(GaConfig {
+            population: scale.population,
+            ..GaConfig::default()
+        })
+        .with_seed(4)
+        .run(&cocco_ctx);
         runs.push(("Cocco", cocco_ctx));
 
         // Emit curves and the 12(d) threshold table.

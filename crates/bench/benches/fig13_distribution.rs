@@ -37,10 +37,12 @@ fn main() {
             Objective::co_exploration(CostMetric::Energy, ALPHA),
             budget,
         );
-        CoccoGa::default()
-            .with_population(scale.population)
-            .with_seed(13)
-            .run(&ctx);
+        SearchMethod::Ga(GaConfig {
+            population: scale.population,
+            ..GaConfig::default()
+        })
+        .with_seed(13)
+        .run(&ctx);
         let points = ctx.trace().points();
         let groups = 10usize;
         let per_group = points.len().div_ceil(groups).max(1);

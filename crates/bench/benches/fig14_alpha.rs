@@ -4,7 +4,7 @@
 //! Run with: `cargo bench -p cocco-bench --bench fig14_alpha`
 
 use cocco::prelude::*;
-use cocco_bench::methods::{CoOptEngine, ExperimentCfg, TABLE_MODELS};
+use cocco_bench::methods::{ExperimentCfg, TABLE_MODELS};
 use cocco_bench::{Scale, Table};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
                 options: EvalOptions::default(),
                 seed: 14,
             };
-            let result = cfg.co_opt(CoOptEngine::Cocco, BufferSpace::paper_shared());
+            let result = cfg.co_opt(SearchMethod::Ga(cfg.ga()), BufferSpace::paper_shared());
             // Recover the achieved energy from the final cost decomposition.
             let energy_pj = (result.cost - result.buffer.total_bytes() as f64) / alpha;
             let energy_mj = energy_pj / 1e9;

@@ -6,7 +6,7 @@
 
 use cocco::prelude::*;
 use cocco_bench::harness::sci;
-use cocco_bench::methods::{buffer_label, fixed_shared, CoOptEngine, ExperimentCfg, TABLE_MODELS};
+use cocco_bench::methods::{buffer_label, fixed_shared, ExperimentCfg, TABLE_MODELS};
 use cocco_bench::{Scale, Table};
 
 fn main() {
@@ -47,18 +47,17 @@ fn main() {
         for (label, buffer) in fixed_shared() {
             emit("Fixed HW", label, cfg.fixed_hw(buffer));
         }
+        let per_candidate = (cfg.budget / 10).max(1);
+        for (label, two_step) in [("RS+GA", TwoStep::random()), ("GS+GA", TwoStep::grid())] {
+            let method = SearchMethod::TwoStep(two_step.with_per_candidate(per_candidate));
+            emit("Two-Step", label, cfg.co_opt(method, space));
+        }
+        emit("Co-Opt", "SA", cfg.co_opt(SearchMethod::sa(), space));
         emit(
-            "Two-Step",
-            "RS+GA",
-            cfg.two_step(CapacitySampling::Random, space),
+            "Co-Opt",
+            "Cocco",
+            cfg.co_opt(SearchMethod::Ga(cfg.ga()), space),
         );
-        emit(
-            "Two-Step",
-            "GS+GA",
-            cfg.two_step(CapacitySampling::Grid, space),
-        );
-        emit("Co-Opt", "SA", cfg.co_opt(CoOptEngine::Sa, space));
-        emit("Co-Opt", "Cocco", cfg.co_opt(CoOptEngine::Cocco, space));
     }
     table.emit();
     println!(

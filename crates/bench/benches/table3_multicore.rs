@@ -6,7 +6,7 @@
 //! Run with: `cargo bench -p cocco-bench --bench table3_multicore`
 
 use cocco::prelude::*;
-use cocco_bench::methods::{CoOptEngine, ExperimentCfg, TABLE_MODELS};
+use cocco_bench::methods::{ExperimentCfg, TABLE_MODELS};
 use cocco_bench::{Scale, Table};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
                     options,
                     seed: 3,
                 };
-                let result = cfg.co_opt(CoOptEngine::Cocco, BufferSpace::paper_shared());
+                let result = cfg.co_opt(SearchMethod::Ga(cfg.ga()), BufferSpace::paper_shared());
                 let (energy_mj, latency_ms) = match &result.partition {
                     Some(p) => {
                         let report = evaluator

@@ -154,10 +154,7 @@ fn ga_run(model: &Graph, engine: EngineConfig) -> (Duration, f64) {
     )
     .with_engine(engine);
     let start = Stopwatch::start();
-    let outcome = CoccoGa::default()
-        .with_population(100)
-        .with_seed(42)
-        .run(&ctx);
+    let outcome = SearchMethod::ga().with_seed(42).run(&ctx);
     (start.elapsed(), outcome.best_cost)
 }
 

@@ -42,18 +42,18 @@ pub struct MethodResult {
     pub samples: u64,
 }
 
-/// Which co-optimization engine to use.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum CoOptEngine {
-    /// Simulated annealing (baseline).
-    Sa,
-    /// Cocco's genetic algorithm.
-    Cocco,
-}
-
 impl ExperimentCfg<'_> {
     fn objective(&self) -> Objective {
         Objective::co_exploration(self.metric, self.alpha)
+    }
+
+    /// The GA configuration of this setting: the default GA at its
+    /// population.
+    pub fn ga(&self) -> GaConfig {
+        GaConfig {
+            population: self.population,
+            ..GaConfig::default()
+        }
     }
 
     /// Runs the partition-only refinement at `buffer` (optionally warm-
@@ -67,13 +67,11 @@ impl ExperimentCfg<'_> {
             self.refine_budget,
         )
         .with_options(self.options);
-        let mut ga = CoccoGa::default()
-            .with_population(self.population)
-            .with_seed(self.seed ^ 0x5eed);
-        if let Some(p) = warm {
-            ga = ga.with_initial(vec![p]);
-        }
-        let outcome = ga.run(&ctx);
+        let ga = GaConfig {
+            initial: warm.into_iter().collect(),
+            ..self.ga()
+        };
+        let outcome = SearchMethod::Ga(ga).with_seed(self.seed ^ 0x5eed).run(&ctx);
         MethodResult {
             buffer,
             cost: buffer.total_bytes() as f64 + self.alpha * outcome.best_cost,
@@ -92,17 +90,15 @@ impl ExperimentCfg<'_> {
             self.budget,
         )
         .with_options(self.options);
-        let outcome = CoccoGa::default()
-            .with_population(self.population)
-            .with_seed(self.seed)
-            .run(&ctx);
+        let outcome = SearchMethod::Ga(self.ga()).with_seed(self.seed).run(&ctx);
         let mut refined = self.refine(buffer, outcome.best.map(|g| g.partition));
         refined.samples += outcome.samples;
         refined
     }
 
-    /// A co-optimization scheme (SA or Cocco) over `space`.
-    pub fn co_opt(&self, engine: CoOptEngine, space: BufferSpace) -> MethodResult {
+    /// A co-optimization or two-step scheme (`method`, reseeded with the
+    /// setting's seed) over `space`.
+    pub fn co_opt(&self, method: SearchMethod, space: BufferSpace) -> MethodResult {
         let ctx = SearchContext::new(
             self.model,
             self.evaluator,
@@ -111,45 +107,7 @@ impl ExperimentCfg<'_> {
             self.budget,
         )
         .with_options(self.options);
-        let outcome = match engine {
-            CoOptEngine::Sa => SimulatedAnnealing::default().with_seed(self.seed).run(&ctx),
-            CoOptEngine::Cocco => CoccoGa::default()
-                .with_population(self.population)
-                .with_seed(self.seed)
-                .run(&ctx),
-        };
-        match outcome.best {
-            Some(genome) => {
-                let mut refined = self.refine(genome.buffer, Some(genome.partition));
-                refined.samples += outcome.samples;
-                refined
-            }
-            None => MethodResult {
-                buffer: space.grid()[0],
-                cost: f64::INFINITY,
-                partition: None,
-                samples: outcome.samples,
-            },
-        }
-    }
-
-    /// A two-step scheme (RS+GA or GS+GA) over `space`.
-    pub fn two_step(&self, sampling: CapacitySampling, space: BufferSpace) -> MethodResult {
-        let ctx = SearchContext::new(
-            self.model,
-            self.evaluator,
-            space,
-            self.objective(),
-            self.budget,
-        )
-        .with_options(self.options);
-        let method = match sampling {
-            CapacitySampling::Random => TwoStep::random(),
-            CapacitySampling::Grid => TwoStep::grid(),
-        }
-        .with_per_candidate((self.budget / 10).max(1))
-        .with_seed(self.seed);
-        let outcome = method.run(&ctx);
+        let outcome = method.with_seed(self.seed).run(&ctx);
         match outcome.best {
             Some(genome) => {
                 let mut refined = self.refine(genome.buffer, Some(genome.partition));

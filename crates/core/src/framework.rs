@@ -6,7 +6,7 @@ use cocco_faults::{FaultPlan, FaultSite, HealthReport};
 use cocco_graph::Graph;
 use cocco_search::{
     drive_step, BufferSpace, GaConfig, Objective, SearchContext, SearchMethod, SearchOutcome,
-    SearchSnapshot, Searcher, Trace, CHECKPOINT_VERSION,
+    SearchSnapshot, Trace, CHECKPOINT_VERSION,
 };
 use cocco_sim::{AcceleratorConfig, EvalOptions, Evaluator, PartitionReport};
 use cocco_telemetry::{MetricsSnapshot, Phase, Stopwatch, Telemetry};
@@ -82,11 +82,11 @@ impl Exploration {
 /// High-level driver: model + hardware description + memory design space +
 /// search method in, recommended configuration + schedule + evaluation out.
 ///
-/// Any search method of the registry runs through the same [`Searcher`]
-/// path ([`with_method`](Cocco::with_method)); the defaults reproduce the
-/// paper's headline setup (genetic co-exploration, shared-buffer space,
-/// energy-capacity objective). Drop down to [`SearchContext`] and the
-/// individual searchers for custom experiment harnesses.
+/// Any search method of the registry runs through the same
+/// [`SearchMethod::run`] path ([`with_method`](Cocco::with_method)); the
+/// defaults reproduce the paper's headline setup (genetic co-exploration,
+/// shared-buffer space, energy-capacity objective). Drop down to a
+/// [`SearchContext`] of your own for custom experiment harnesses.
 ///
 /// # Examples
 ///

@@ -22,10 +22,10 @@ pub use cocco_graph::{
 };
 pub use cocco_partition::{repair, repair_with_delta, Partition, PartitionDelta, Quotient};
 pub use cocco_search::{
-    run_driver, BufferSpace, CapacitySampling, CoccoGa, DepthDp, DriverState, EvalBatch, EvalChunk,
-    Exhaustive, GaConfig, Genome, GreedyFusion, Objective, Portfolio, PortfolioPolicy,
-    SearchContext, SearchDriver, SearchMethod, SearchOutcome, SearchSnapshot, Searcher,
-    SimulatedAnnealing, Step, Trace, TracePoint, TwoStep,
+    run_driver, BufferSpace, CapacitySampling, DepthDp, DriverState, EvalBatch, EvalChunk,
+    ExhaustiveLimits, GaConfig, Genome, Objective, Portfolio, PortfolioPolicy, SaConfig,
+    SearchContext, SearchDriver, SearchMethod, SearchOutcome, SearchSnapshot, Step, Trace,
+    TracePoint, TwoStep,
 };
 pub use cocco_sim::{
     AcceleratorConfig, BufferConfig, CapacityRange, CostMetric, EvalOptions, Evaluator,

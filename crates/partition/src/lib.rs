@@ -30,5 +30,5 @@ pub use partition::Partition;
 pub use quotient::Quotient;
 pub use repair::{
     repair, repair_connectivity, repair_connectivity_with_delta, repair_with_delta,
-    split_oversized, split_oversized_with_delta,
+    split_oversized_with_delta,
 };

@@ -1,8 +1,8 @@
 //! Validity repair: connectivity splits, SCC merges and in-situ capacity
 //! splits (paper §4.4.4).
 //!
-//! Every entry point ([`repair`], [`repair_connectivity`],
-//! [`split_oversized`] and their `*_with_delta` forms) runs one pipeline
+//! Every entry point ([`repair`], [`repair_connectivity`], their
+//! `*_with_delta` forms and [`split_oversized_with_delta`]) runs one pipeline
 //! over every subgraph of any input assignment:
 //!
 //! - **Connectivity.** Each pass splits subgraphs into weakly-connected
@@ -69,21 +69,11 @@ pub fn repair_connectivity_with_delta(
 /// in-situ `split-subgraph`: the subgraph is halved along the topological
 /// order (never creating quotient cycles), each half is split into its
 /// components, and the process repeats until every subgraph fits or is a
-/// single node.
+/// single node. Every membership change is recorded into `delta`.
 ///
 /// `fits` receives the (ascending) member list of one subgraph. On a valid
 /// partition only the capacity splits change anything; an invalid one is
-/// first repaired for connectivity, which makes this [`repair`].
-pub fn split_oversized(
-    graph: &Graph,
-    partition: Partition,
-    fits: &dyn Fn(&[NodeId]) -> bool,
-) -> Partition {
-    let mut delta = PartitionDelta::clean(graph.len());
-    split_oversized_with_delta(graph, partition, fits, &mut delta)
-}
-
-/// [`split_oversized`], recording every membership change into `delta`.
+/// first repaired for connectivity, which makes this [`repair_with_delta`].
 pub fn split_oversized_with_delta(
     graph: &Graph,
     partition: Partition,
@@ -362,7 +352,7 @@ mod tests {
         let g = cocco_graph::models::chain(7);
         let p = Partition::whole(g.len());
         // Nothing fits: must end fully split.
-        let fixed = split_oversized(&g, p, &|_| false);
+        let fixed = repair(&g, p, &|_| false);
         assert!(fixed.validate(&g).is_ok());
         assert_eq!(fixed.num_subgraphs(), g.len());
     }
@@ -372,7 +362,7 @@ mod tests {
         let g = cocco_graph::models::chain(7);
         let p = Partition::whole(g.len());
         // Subgraphs of <= 3 nodes "fit".
-        let fixed = split_oversized(&g, p, &|m| m.len() <= 3);
+        let fixed = repair(&g, p, &|m| m.len() <= 3);
         assert!(fixed.validate(&g).is_ok());
         assert!(fixed.subgraphs().iter().all(|m| m.len() <= 3));
         // Should not have split all the way down.

@@ -31,7 +31,7 @@ pub struct EvalHint {
 /// One genome queued for batch evaluation.
 ///
 /// Input: the genome. Outputs, filled in by
-/// [`SearchContext::evaluate_candidates`]: the repaired genome and its
+/// [`SearchContext::evaluate_chunks`]: the repaired genome and its
 /// objective `cost` (`None` iff the budget ran out first).
 #[derive(Debug)]
 pub struct EvalCandidate {
@@ -72,20 +72,20 @@ struct EvalGroup<'g> {
     funding: Funding<'g>,
 }
 
-/// Everything a [`Searcher`](crate::Searcher) needs: the graph, the shared
-/// evaluator, the buffer space, the objective, evaluation options, a sample
-/// budget, a trace and the evaluation [`Engine`].
+/// Everything a search method ([`SearchMethod::run`](crate::SearchMethod::run))
+/// needs: the graph, the shared evaluator, the buffer space, the objective,
+/// evaluation options, a sample budget, a trace and the evaluation
+/// [`Engine`].
 ///
-/// Genome-level evaluations ([`evaluate`](SearchContext::evaluate),
-/// [`evaluate_batch`](SearchContext::evaluate_batch)) consume budget and
-/// are traced; the analytic helpers used inside deterministic baselines
-/// ([`subgraph_cost`](SearchContext::subgraph_cost),
+/// Genome-level evaluations ([`evaluate_chunks`](SearchContext::evaluate_chunks))
+/// consume budget and are traced; the analytic helpers used inside
+/// deterministic baselines ([`subgraph_cost`](SearchContext::subgraph_cost),
 /// [`fits`](SearchContext::fits)) do not consume budget but still share the
 /// engine's memoization cache.
 ///
 /// # Parallelism and determinism
 ///
-/// [`evaluate_batch`](SearchContext::evaluate_batch) spreads a batch over
+/// [`evaluate_chunks`](SearchContext::evaluate_chunks) spreads a batch over
 /// the engine's worker pool. Budget samples are drawn and trace points
 /// recorded in **input order** before/after the parallel section, and each
 /// genome's repair + scoring is a pure function of the genome — so a
@@ -309,63 +309,14 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// Repairs and evaluates `genome` in place, consuming one budget
-    /// sample. Returns the objective cost, or `None` when the budget is
-    /// exhausted (the genome is then left unmodified).
-    pub fn evaluate(&self, genome: &mut Genome) -> Option<f64> {
-        self.evaluate_batch(std::slice::from_mut(genome))
-            .pop()
-            .flatten()
-    }
-
-    /// Repairs and evaluates a batch of genomes in place on the engine's
-    /// worker pool, consuming one budget sample per evaluated genome.
-    ///
-    /// The result vector preserves input order; entry `i` is `None` iff the
-    /// budget ran out before genome `i` (un-funded genomes are left
-    /// unmodified). Sample indices and trace points follow input order
-    /// regardless of the thread count, so seeded searches are bit-identical
-    /// serial and parallel.
-    pub fn evaluate_batch(&self, genomes: &mut [Genome]) -> Vec<Option<f64>> {
-        let mut candidates: Vec<EvalCandidate> = genomes
-            .iter_mut()
-            .map(|g| {
-                let buffer = g.buffer;
-                EvalCandidate::new(std::mem::replace(
-                    g,
-                    Genome::new(Partition::singletons(0), buffer),
-                ))
-            })
-            .collect();
-        let costs = self.evaluate_candidates(&mut candidates);
-        for (g, candidate) in genomes.iter_mut().zip(candidates) {
-            *g = candidate.genome;
-        }
-        costs
-    }
-
-    /// Repairs and evaluates a batch of [`EvalCandidate`]s in place on the
-    /// engine's worker pool — the entry point used by the GA and SA.
-    ///
-    /// Each candidate is repaired, then scored through the engine's
-    /// caches: a re-proposed partition hits the roll-up cache, and every
-    /// subgraph its mutation left untouched hits the term cache. Results
-    /// are bit-identical at any thread count (sample indices and trace
-    /// points follow input order, and every term is the same pure
-    /// per-subgraph function).
-    pub fn evaluate_candidates(&self, candidates: &mut [EvalCandidate]) -> Vec<Option<f64>> {
-        let mut groups = [EvalGroup {
-            candidates,
-            objective: self.objective,
-            funding: Funding::Context,
-        }];
-        self.evaluate_groups(&mut groups);
-        groups[0].candidates.iter().map(|c| c.cost).collect()
-    }
-
     /// Evaluates a driver's [`EvalBatch`] — every chunk of every candidate
     /// — as **one** engine dispatch, honoring each chunk's objective and
-    /// funding overrides.
+    /// funding overrides. The one batch entry point of the crate.
+    ///
+    /// Each candidate is repaired in place, then scored through the
+    /// engine's caches: a re-proposed partition hits the roll-up cache, and
+    /// every subgraph its mutation left untouched hits the term cache. A
+    /// candidate left with `cost == None` was not funded.
     ///
     /// Funding is drawn in chunk order, candidate order (a chunk whose
     /// budget runs dry leaves its remaining candidates unfunded and moves
@@ -670,6 +621,27 @@ mod tests {
     use super::*;
     use cocco_sim::{AcceleratorConfig, CostMetric};
 
+    /// Evaluates `genomes` in place as one plain chunk under the context's
+    /// objective and budget; entry `i` is `None` iff genome `i` went
+    /// unfunded.
+    fn evaluate(ctx: &SearchContext<'_>, genomes: &mut [Genome]) -> Vec<Option<f64>> {
+        let candidates = genomes
+            .iter()
+            .map(|g| EvalCandidate::new(g.clone()))
+            .collect();
+        let mut batch = EvalBatch::single(candidates);
+        ctx.evaluate_chunks(&mut batch);
+        let evaluated = batch.chunks.into_iter().flat_map(|c| c.candidates);
+        genomes
+            .iter_mut()
+            .zip(evaluated)
+            .map(|(g, c)| {
+                *g = c.genome;
+                c.cost
+            })
+            .collect()
+    }
+
     fn context<'a>(
         graph: &'a Graph,
         evaluator: &'a Evaluator<'a>,
@@ -693,9 +665,9 @@ mod tests {
             Partition::singletons(g.len()),
             BufferConfig::shared(1 << 20),
         );
-        assert!(ctx.evaluate(&mut genome).is_some());
-        assert!(ctx.evaluate(&mut genome).is_some());
-        assert!(ctx.evaluate(&mut genome).is_none());
+        assert!(evaluate(&ctx, std::slice::from_mut(&mut genome))[0].is_some());
+        assert!(evaluate(&ctx, std::slice::from_mut(&mut genome))[0].is_some());
+        assert!(evaluate(&ctx, std::slice::from_mut(&mut genome))[0].is_none());
         assert_eq!(ctx.trace().len(), 2);
         assert_eq!(ctx.budget().used(), 2);
         // The repeated evaluation hit the engine cache.
@@ -717,7 +689,7 @@ mod tests {
             Partition::from_assignment(vec![0, 0, 0, 1, 0]),
             BufferConfig::shared(1 << 20),
         );
-        let cost = ctx.evaluate(&mut genome).unwrap();
+        let cost = evaluate(&ctx, std::slice::from_mut(&mut genome))[0].unwrap();
         assert!(cost.is_finite());
         assert!(genome.partition.validate(&g).is_ok());
     }
@@ -735,7 +707,7 @@ mod tests {
                 )
             })
             .collect();
-        let costs = ctx.evaluate_batch(&mut genomes);
+        let costs = evaluate(&ctx, &mut genomes);
         assert_eq!(costs.len(), 5);
         assert!(costs[..3].iter().all(Option::is_some));
         assert!(costs[3..].iter().all(Option::is_none));
@@ -760,7 +732,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let costs = ctx.evaluate_batch(&mut genomes);
+            let costs = evaluate(&ctx, &mut genomes);
             (costs, genomes, ctx.trace().points())
         };
         let serial = run(1);
@@ -790,7 +762,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let costs = ctx.evaluate_batch(&mut genomes);
+            let costs = evaluate(&ctx, &mut genomes);
             (costs, ctx.trace().points())
         };
         let telemetry = cocco_telemetry::Telemetry::enabled();
@@ -849,14 +821,14 @@ mod tests {
         let plain_ctx = context(&g, &eval, 24);
         let mut plain_genomes = genomes();
         let plain = (
-            plain_ctx.evaluate_batch(&mut plain_genomes),
+            evaluate(&plain_ctx, &mut plain_genomes),
             plain_ctx.trace().points(),
         );
         let rates = cocco_faults::FaultRates::none().with(FaultSite::EvalError, 0.5);
         let faulty_ctx = context(&g, &eval, 24).with_faults(FaultPlan::seeded(7, rates));
         let mut faulty_genomes = genomes();
         let faulty = (
-            faulty_ctx.evaluate_batch(&mut faulty_genomes),
+            evaluate(&faulty_ctx, &mut faulty_genomes),
             faulty_ctx.trace().points(),
         );
         assert_eq!(
@@ -885,7 +857,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let costs = ctx.evaluate_batch(&mut genomes);
+            let costs = evaluate(&ctx, &mut genomes);
             assert!(
                 costs.iter().all(Option::is_none),
                 "quarantine discards uniformly"
@@ -901,7 +873,7 @@ mod tests {
             assert!(message.contains("injected worker panic"), "{message}");
             // Aborted contexts refuse further funding instead of running.
             let mut more = genomes.clone();
-            assert!(ctx.evaluate_batch(&mut more).iter().all(Option::is_none));
+            assert!(evaluate(&ctx, &mut more).iter().all(Option::is_none));
             assert_eq!(ctx.budget().used(), 0);
         }
     }
@@ -920,7 +892,7 @@ mod tests {
                 )
             })
             .collect();
-        let costs = ctx.evaluate_batch(&mut genomes);
+        let costs = evaluate(&ctx, &mut genomes);
         assert!(
             costs.iter().all(Option::is_none),
             "revoked budget funds nothing"

@@ -1,12 +1,11 @@
 //! Depth-ordered dynamic-programming baseline (Irregular-NN, paper §4.2.3).
 
 use crate::context::SearchContext;
-use crate::driver::{run_driver, DriverState, EvalBatch, SearchDriver, Step};
+use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
 use crate::genome::Genome;
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use cocco_graph::NodeId;
 use cocco_partition::Partition;
-use cocco_sim::BufferConfig;
 use serde::{Deserialize, Serialize};
 
 /// The DP baseline of Zheng et al.: layers are arranged by depth and a
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use cocco_search::{BufferSpace, DepthDp, Objective, SearchContext, Searcher};
+/// use cocco_search::{BufferSpace, DepthDp, Objective, SearchContext, SearchMethod};
 /// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
 ///
 /// let g = cocco_graph::models::chain(5);
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 ///     Objective::partition_only(CostMetric::Ema),
 ///     0,
 /// );
-/// let outcome = DepthDp::default().run(&ctx);
+/// let outcome = SearchMethod::DepthDp(DepthDp::default()).run(&ctx);
 /// // On a plain chain with a large buffer the DP is optimal: one subgraph.
 /// assert_eq!(outcome.best.unwrap().partition.num_subgraphs(), 1);
 /// ```
@@ -40,22 +39,13 @@ use serde::{Deserialize, Serialize};
 pub struct DepthDp {
     /// Longest run of the depth order considered as one subgraph (bounds
     /// the O(N·K) transition count; the region manager caps useful sizes
-    /// anyway).
+    /// anyway). 0 reads as 1.
     pub max_run: usize,
 }
 
 impl Default for DepthDp {
     fn default() -> Self {
         Self { max_run: 128 }
-    }
-}
-
-impl DepthDp {
-    /// Creates the searcher with a custom run cap.
-    pub fn new(max_run: usize) -> Self {
-        Self {
-            max_run: max_run.max(1),
-        }
     }
 }
 
@@ -81,29 +71,6 @@ impl DepthDp {
         let mut order: Vec<usize> = (0..graph.len()).collect();
         order.sort_by_key(|&i| (depths[i], i));
         order
-    }
-
-    /// The fixed buffer the DP runs under.
-    fn buffer(ctx: &SearchContext<'_>) -> BufferConfig {
-        match ctx.space {
-            crate::objective::BufferSpace::Fixed(c) => c,
-            _ => *ctx
-                .space
-                .grid()
-                .last()
-                // cocco-audit: allow(R1) CapacityRange is non-empty by construction, so every grid() has entries
-                .expect("buffer space has at least one configuration"),
-        }
-    }
-}
-
-impl Searcher for DepthDp {
-    fn name(&self) -> &'static str {
-        "Irregular-NN (DP)"
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
     }
 }
 
@@ -166,7 +133,7 @@ impl SearchDriver for DpDriver {
             return Step::Done;
         }
         let graph = ctx.graph();
-        let buffer = DepthDp::buffer(ctx);
+        let buffer = ctx.space.largest();
         let n = graph.len();
         if self.row == 0 {
             // dp[i]: best cost covering the first i nodes of the order.
@@ -182,7 +149,7 @@ impl SearchDriver for DpDriver {
         let order = &self.order;
         if self.row <= n {
             let i = self.row;
-            let lo = i.saturating_sub(self.config.max_run);
+            let lo = i.saturating_sub(self.config.max_run.max(1));
             for j in (lo..i).rev() {
                 if !self.dp[j].is_finite() {
                     continue;
@@ -253,6 +220,7 @@ impl SearchDriver for DpDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::SearchMethod;
     use crate::objective::{BufferSpace, Objective};
     use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
 
@@ -265,7 +233,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             0,
         );
-        DepthDp::default().run(&ctx)
+        SearchMethod::depth_dp().run(&ctx)
     }
 
     #[test]

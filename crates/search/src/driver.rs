@@ -22,8 +22,8 @@
 //! state only: the engine's caches never change a score, so a resumed run
 //! may recompute more but never scores differently.
 //!
-//! [`run_driver`] is the thin default loop every [`Searcher`] now runs
-//! through; on top of the same uniform step surface sit the interleaved
+//! [`run_driver`] is the thin default loop `SearchMethod::run` runs every
+//! method through; on top of the same uniform step surface sit the interleaved
 //! two-step scheme ([`TwoStep`](crate::TwoStep)) and the
 //! [`Portfolio`](crate::Portfolio) meta-driver.
 
@@ -119,7 +119,7 @@ pub enum Step {
 
 /// A search method as a resumable state machine. See the module docs for
 /// the protocol; every method of the registry implements it, and
-/// `Searcher::run` is now a thin [`run_driver`] loop.
+/// `SearchMethod::run` is a thin [`run_driver`] loop.
 pub trait SearchDriver: Send {
     /// The method's display name.
     fn name(&self) -> &'static str;
@@ -192,9 +192,9 @@ pub fn drive_step(driver: &mut dyn SearchDriver, ctx: &SearchContext<'_>) -> boo
     }
 }
 
-/// The default run loop: [`drive_step`] until done. Every `Searcher::run`
-/// in the crate is this loop over the method's driver, so the stepped and
-/// "monolithic" paths are one code path and bit-identical by construction.
+/// The default run loop: [`drive_step`] until done. `SearchMethod::run` is
+/// this loop over the method's driver, so the stepped and "monolithic"
+/// paths are one code path and bit-identical by construction.
 pub fn run_driver(driver: &mut dyn SearchDriver, ctx: &SearchContext<'_>) -> SearchOutcome {
     while drive_step(driver, ctx) {}
     driver.outcome()

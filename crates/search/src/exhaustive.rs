@@ -11,16 +11,42 @@
 //! reportable outcome ([`SearchOutcome::completed`]).
 
 use crate::context::SearchContext;
-use crate::driver::{run_driver, DriverState, EvalBatch, SearchDriver, Step};
+use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
 use crate::genome::Genome;
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use cocco_graph::{Graph, NodeId};
 use cocco_partition::Partition;
 use cocco_sim::BufferConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Abort thresholds for the enumeration.
+/// Abort thresholds for the exact enumeration baseline, run as
+/// [`SearchMethod::Exhaustive`](crate::SearchMethod::Exhaustive).
+/// Deterministic, fixed hardware only.
+///
+/// # Examples
+///
+/// ```
+/// use cocco_search::{BufferSpace, ExhaustiveLimits, Objective, SearchContext, SearchMethod};
+/// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
+///
+/// let g = cocco_graph::models::chain(4);
+/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
+/// let ctx = SearchContext::new(
+///     &g,
+///     &eval,
+///     BufferSpace::fixed(BufferConfig::shared(8 << 20)),
+///     Objective::partition_only(CostMetric::Ema),
+///     0,
+/// );
+/// let limits = ExhaustiveLimits {
+///     max_states: 1_000,
+///     ..ExhaustiveLimits::default()
+/// };
+/// let outcome = SearchMethod::Exhaustive(limits).run(&ctx);
+/// assert!(outcome.completed);
+/// assert_eq!(outcome.best.unwrap().partition.num_subgraphs(), 1);
+/// ```
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExhaustiveLimits {
     /// Maximum number of distinct downset states.
@@ -35,40 +61,6 @@ impl Default for ExhaustiveLimits {
             max_states: 200_000,
             max_expansions: 50_000_000,
         }
-    }
-}
-
-/// The exact enumeration baseline. Deterministic, fixed hardware only.
-///
-/// # Examples
-///
-/// ```
-/// use cocco_search::{BufferSpace, Exhaustive, Objective, SearchContext, Searcher};
-/// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
-///
-/// let g = cocco_graph::models::chain(4);
-/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
-/// let ctx = SearchContext::new(
-///     &g,
-///     &eval,
-///     BufferSpace::fixed(BufferConfig::shared(8 << 20)),
-///     Objective::partition_only(CostMetric::Ema),
-///     0,
-/// );
-/// let outcome = Exhaustive::default().run(&ctx);
-/// assert!(outcome.completed);
-/// assert_eq!(outcome.best.unwrap().partition.num_subgraphs(), 1);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Exhaustive {
-    /// Abort thresholds.
-    pub limits: ExhaustiveLimits,
-}
-
-impl Exhaustive {
-    /// Creates the searcher with custom limits.
-    pub fn new(limits: ExhaustiveLimits) -> Self {
-        Self { limits }
     }
 }
 
@@ -98,45 +90,6 @@ fn bits_count(b: &[u64]) -> usize {
 struct StateInfo {
     cost: f64,
     back: Option<(Bits, Vec<u32>)>,
-}
-
-impl Exhaustive {
-    /// The enumeration as a resumable [`SearchDriver`] (one popcount level
-    /// per step).
-    pub fn driver(&self) -> ExhaustiveDriver {
-        ExhaustiveDriver {
-            limits: self.limits,
-            levels: Vec::new(),
-            level: 0,
-            total_states: 1,
-            expansions: 0,
-            done: false,
-            outcome: SearchOutcome::empty(),
-        }
-    }
-
-    /// The fixed buffer the enumeration runs under.
-    fn buffer(ctx: &SearchContext<'_>) -> BufferConfig {
-        match ctx.space {
-            crate::objective::BufferSpace::Fixed(c) => c,
-            _ => *ctx
-                .space
-                .grid()
-                .last()
-                // cocco-audit: allow(R1) CapacityRange is non-empty by construction, so every grid() has entries
-                .expect("buffer space has at least one configuration"),
-        }
-    }
-}
-
-impl Searcher for Exhaustive {
-    fn name(&self) -> &'static str {
-        "Enumeration"
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
-    }
 }
 
 /// One serialized downset state: the downset bits, its best cost (always
@@ -188,6 +141,19 @@ impl std::fmt::Debug for StateInfo {
 }
 
 impl ExhaustiveDriver {
+    /// A fresh enumeration under `limits` (one popcount level per step).
+    pub fn new(limits: ExhaustiveLimits) -> Self {
+        Self {
+            limits,
+            levels: Vec::new(),
+            level: 0,
+            total_states: 1,
+            expansions: 0,
+            done: false,
+            outcome: SearchOutcome::empty(),
+        }
+    }
+
     /// Resumes a driver from a serialized state.
     pub fn from_state(limits: ExhaustiveLimits, state: ExhaustiveState) -> Self {
         Self {
@@ -223,7 +189,7 @@ impl ExhaustiveDriver {
     /// Finalizes after an abort or a completed sweep.
     fn finalize(&mut self, ctx: &SearchContext<'_>, aborted: bool) -> Step {
         let graph = ctx.graph();
-        let buffer = Exhaustive::buffer(ctx);
+        let buffer = ctx.space.largest();
         let n = graph.len();
         let words = n.div_ceil(64);
         self.done = true;
@@ -277,7 +243,7 @@ impl SearchDriver for ExhaustiveDriver {
             return Step::Done;
         }
         let graph = ctx.graph();
-        let buffer = Exhaustive::buffer(ctx);
+        let buffer = ctx.space.largest();
         let n = graph.len();
         let words = n.div_ceil(64);
         if self.levels.is_empty() {
@@ -585,6 +551,7 @@ impl SubgraphEnumerator<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::SearchMethod;
     use crate::objective::{BufferSpace, Objective};
     use cocco_sim::{AcceleratorConfig, CostMetric, Evaluator};
 
@@ -597,7 +564,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             0,
         );
-        Exhaustive::default().run(&ctx)
+        SearchMethod::exhaustive().run(&ctx)
     }
 
     #[test]
@@ -665,7 +632,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             0,
         );
-        let out = Exhaustive::new(ExhaustiveLimits {
+        let out = SearchMethod::Exhaustive(ExhaustiveLimits {
             max_states: 10,
             max_expansions: 1_000,
         })

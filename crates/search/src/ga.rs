@@ -1,11 +1,9 @@
 //! The Cocco genetic co-exploration engine (paper §4.3-§4.4, Figure 9).
 
 use crate::context::{EvalCandidate, SearchContext};
-use crate::driver::{
-    rng_from_state, rng_state, run_driver, DriverState, EvalBatch, SearchDriver, Step,
-};
+use crate::driver::{rng_from_state, rng_state, DriverState, EvalBatch, SearchDriver, Step};
 use crate::genome::Genome;
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use cocco_graph::Graph;
 use cocco_partition::Partition;
 use rand::rngs::StdRng;
@@ -47,7 +45,39 @@ impl Default for MutationRates {
     }
 }
 
-/// Configuration of [`CoccoGa`].
+/// Configuration of the Cocco genetic algorithm, run as
+/// [`SearchMethod::Ga`](crate::SearchMethod::Ga): it co-explores graph
+/// partitions and memory configurations with the paper's customized
+/// crossover and mutations, in-situ capacity repair and tournament
+/// selection.
+///
+/// Each generation is scored as one engine dispatch
+/// ([`SearchContext::evaluate_chunks`]), so the fitness evaluation spreads
+/// over the context's worker pool (DiGamma-style population parallelism)
+/// while staying bit-identical to a serial run.
+///
+/// # Examples
+///
+/// ```
+/// use cocco_search::{BufferSpace, GaConfig, Objective, SearchContext, SearchMethod};
+/// use cocco_sim::{AcceleratorConfig, Evaluator};
+///
+/// let g = cocco_graph::models::diamond();
+/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
+/// let ctx = SearchContext::new(
+///     &g,
+///     &eval,
+///     BufferSpace::paper_shared(),
+///     Objective::paper_energy_capacity(),
+///     1_000,
+/// );
+/// let ga = GaConfig {
+///     population: 50,
+///     ..GaConfig::default()
+/// };
+/// let outcome = SearchMethod::Ga(ga).with_seed(42).run(&ctx);
+/// assert!(outcome.best.is_some());
+/// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GaConfig {
     /// Genomes per generation.
@@ -80,85 +110,6 @@ impl Default for GaConfig {
     }
 }
 
-/// The Cocco genetic algorithm: co-explores graph partitions and memory
-/// configurations with the paper's customized crossover and mutations,
-/// in-situ capacity repair and tournament selection.
-///
-/// Each generation is scored as one
-/// [`evaluate_batch`](SearchContext::evaluate_batch) call, so the fitness
-/// evaluation spreads over the context's engine pool (DiGamma-style
-/// population parallelism) while staying bit-identical to a serial run.
-///
-/// # Examples
-///
-/// ```
-/// use cocco_search::{BufferSpace, CoccoGa, Objective, SearchContext, Searcher};
-/// use cocco_sim::{AcceleratorConfig, CostMetric, Evaluator};
-///
-/// let g = cocco_graph::models::diamond();
-/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
-/// let ctx = SearchContext::new(
-///     &g,
-///     &eval,
-///     BufferSpace::paper_shared(),
-///     Objective::paper_energy_capacity(),
-///     1_000,
-/// );
-/// let outcome = CoccoGa::default().with_seed(42).run(&ctx);
-/// assert!(outcome.best.is_some());
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct CoccoGa {
-    config: GaConfig,
-}
-
-impl CoccoGa {
-    /// Creates the engine from an explicit configuration.
-    pub fn new(config: GaConfig) -> Self {
-        Self { config }
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &GaConfig {
-        &self.config
-    }
-
-    /// Sets the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the population size.
-    pub fn with_population(mut self, population: usize) -> Self {
-        self.config.population = population.max(2);
-        self
-    }
-
-    /// Warm-starts the population with existing partitions.
-    pub fn with_initial(mut self, initial: Vec<Partition>) -> Self {
-        self.config.initial = initial;
-        self
-    }
-}
-
-impl CoccoGa {
-    /// The GA as a resumable [`SearchDriver`].
-    pub fn driver(&self) -> GaDriver {
-        GaDriver::new(self.config.clone())
-    }
-}
-
-impl Searcher for CoccoGa {
-    fn name(&self) -> &'static str {
-        "Cocco (GA)"
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
-    }
-}
-
 /// Where the GA state machine stands.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 enum GaPhase {
@@ -186,7 +137,7 @@ pub struct GaState {
 /// [`next_batch`](SearchDriver::next_batch) builds one generation (the
 /// seed population first), one [`absorb`](SearchDriver::absorb) folds the
 /// scored generation and runs survivor selection. RNG draws happen in the
-/// exact order of the former monolithic loop, so `CoccoGa::run`, manual
+/// exact order of the former monolithic loop, so `SearchMethod::run`, manual
 /// stepping and a checkpoint-resumed run are bit-identical.
 #[derive(Debug)]
 pub struct GaDriver {
@@ -527,6 +478,7 @@ pub(crate) fn mutate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::SearchMethod;
     use crate::objective::{BufferSpace, Objective};
     use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
 
@@ -553,7 +505,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             2_000,
         );
-        let outcome = CoccoGa::default().with_seed(1).run(&ctx);
+        let outcome = SearchMethod::ga().with_seed(1).run(&ctx);
         let best = outcome.best.unwrap();
         assert_eq!(best.partition.num_subgraphs(), 1);
         let floor = g.total_weight_elements()
@@ -568,7 +520,7 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let run = |seed| {
             let ctx = ctx_fixed(&g, &eval, 500);
-            CoccoGa::default().with_seed(seed).run(&ctx).best_cost
+            SearchMethod::ga().with_seed(seed).run(&ctx).best_cost
         };
         assert_eq!(run(7), run(7));
     }
@@ -587,10 +539,12 @@ mod tests {
                 600,
             )
             .with_engine(EngineConfig::with_threads(threads));
-            let out = CoccoGa::default()
-                .with_population(24)
-                .with_seed(13)
-                .run(&ctx);
+            let out = SearchMethod::Ga(GaConfig {
+                population: 24,
+                ..GaConfig::default()
+            })
+            .with_seed(13)
+            .run(&ctx);
             (out.best_cost, out.best, ctx.trace().points())
         };
         let serial = run(1);
@@ -629,10 +583,12 @@ mod tests {
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = ctx_fixed(&g, &eval, 300);
-        let outcome = CoccoGa::default()
-            .with_seed(11)
-            .with_population(20)
-            .run(&ctx);
+        let outcome = SearchMethod::Ga(GaConfig {
+            population: 20,
+            ..GaConfig::default()
+        })
+        .with_seed(11)
+        .run(&ctx);
         let best = outcome.best.unwrap();
         assert!(best.partition.validate(&g).is_ok());
     }
@@ -648,10 +604,12 @@ mod tests {
             Objective::paper_energy_capacity(),
             1_500,
         );
-        let outcome = CoccoGa::default()
-            .with_seed(2)
-            .with_population(30)
-            .run(&ctx);
+        let outcome = SearchMethod::Ga(GaConfig {
+            population: 30,
+            ..GaConfig::default()
+        })
+        .with_seed(2)
+        .run(&ctx);
         let best = outcome.best.unwrap();
         // Formula 2 punishes the 3 MB extreme; the chosen size should be
         // strictly inside the range.
@@ -665,11 +623,13 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = ctx_fixed(&g, &eval, 50);
         let warm = Partition::whole(g.len());
-        let outcome = CoccoGa::default()
-            .with_seed(3)
-            .with_population(4)
-            .with_initial(vec![warm])
-            .run(&ctx);
+        let outcome = SearchMethod::Ga(GaConfig {
+            population: 4,
+            initial: vec![warm],
+            ..GaConfig::default()
+        })
+        .with_seed(3)
+        .run(&ctx);
         // The whole-graph partition fits in 1 MB and is optimal here, so
         // the warm start's cost must be the final answer.
         assert_eq!(outcome.best.unwrap().partition.num_subgraphs(), 1);
@@ -680,7 +640,7 @@ mod tests {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = ctx_fixed(&g, &eval, 37);
-        let outcome = CoccoGa::default().with_seed(5).run(&ctx);
+        let outcome = SearchMethod::ga().with_seed(5).run(&ctx);
         assert_eq!(outcome.samples, 37);
         assert_eq!(ctx.budget().used(), 37);
         assert_eq!(ctx.trace().len(), 37);

@@ -1,12 +1,20 @@
 //! Halide-style greedy fusion baseline (paper §4.2.2).
 
 use crate::context::SearchContext;
-use crate::driver::{run_driver, DriverState, EvalBatch, SearchDriver, Step};
+use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
 use crate::genome::Genome;
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use cocco_partition::{Partition, Quotient};
-use cocco_sim::BufferConfig;
 use serde::{Deserialize, Serialize};
+
+/// Serializable state of a [`GreedyDriver`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct GreedyState {
+    /// Current assignment (`None` until the first step ran).
+    assignment: Option<Vec<u32>>,
+    done: bool,
+    outcome: SearchOutcome,
+}
 
 /// Greedy grouping as in Halide's auto-scheduler: start from one subgraph
 /// per layer, then repeatedly apply the feasible merge (across a quotient
@@ -18,90 +26,25 @@ use serde::{Deserialize, Serialize};
 /// trapped in local minima — exactly the behaviours the paper compares
 /// Cocco against.
 ///
-/// # Examples
-///
-/// ```
-/// use cocco_search::{BufferSpace, GreedyFusion, Objective, SearchContext, Searcher};
-/// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
-///
-/// let g = cocco_graph::models::chain(4);
-/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
-/// let ctx = SearchContext::new(
-///     &g,
-///     &eval,
-///     BufferSpace::fixed(BufferConfig::shared(4 << 20)),
-///     Objective::partition_only(CostMetric::Ema),
-///     0, // greedy is analytic: it consumes no samples
-/// );
-/// let outcome = GreedyFusion::default().run(&ctx);
-/// assert_eq!(outcome.best.unwrap().partition.num_subgraphs(), 1);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct GreedyFusion {
-    _private: (),
-}
-
-impl GreedyFusion {
-    /// Creates the searcher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The fixed buffer the greedy run uses: the space's single
-    /// configuration, or the largest grid point of a non-fixed space.
-    fn buffer(ctx: &SearchContext<'_>) -> BufferConfig {
-        match ctx.space {
-            crate::objective::BufferSpace::Fixed(c) => c,
-            _ => *ctx
-                .space
-                .grid()
-                .last()
-                // cocco-audit: allow(R1) CapacityRange is non-empty by construction, so every grid() has entries
-                .expect("buffer space has at least one configuration"),
-        }
-    }
-}
-
-impl GreedyFusion {
-    /// The greedy merger as a resumable [`SearchDriver`] (one merge round
-    /// per step).
-    pub fn driver(&self) -> GreedyDriver {
-        GreedyDriver {
-            partition: None,
-            outcome: SearchOutcome::empty(),
-            done: false,
-        }
-    }
-}
-
-impl Searcher for GreedyFusion {
-    fn name(&self) -> &'static str {
-        "Halide (greedy)"
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
-    }
-}
-
-/// Serializable state of a [`GreedyDriver`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct GreedyState {
-    /// Current assignment (`None` until the first step ran).
-    assignment: Option<Vec<u32>>,
-    done: bool,
-    outcome: SearchOutcome,
-}
-
-/// Greedy fusion as a step-driven state machine: each step applies the one
-/// feasible merge with the greatest benefit (a full scan, as before —
-/// shared with the engine's term cache, so re-scans are cheap); the final
-/// step scores the converged partition. Analytic: no step consumes budget.
+/// As a step-driven state machine, each step applies the one feasible
+/// merge with the greatest benefit (a full scan, shared with the engine's
+/// term cache, so re-scans are cheap); the final step scores the converged
+/// partition. Analytic: no step consumes budget.
 #[derive(Debug)]
 pub struct GreedyDriver {
     partition: Option<Partition>,
     outcome: SearchOutcome,
     done: bool,
+}
+
+impl Default for GreedyDriver {
+    fn default() -> Self {
+        Self {
+            partition: None,
+            outcome: SearchOutcome::empty(),
+            done: false,
+        }
+    }
 }
 
 impl GreedyDriver {
@@ -125,7 +68,7 @@ impl SearchDriver for GreedyDriver {
             return Step::Done;
         }
         let graph = ctx.graph();
-        let buffer = GreedyFusion::buffer(ctx);
+        let buffer = ctx.space.largest();
         let mut partition = self
             .partition
             .take()
@@ -227,8 +170,9 @@ fn has_indirect_path(quotient: &Quotient, a: u32, b: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::SearchMethod;
     use crate::objective::{BufferSpace, Objective};
-    use cocco_sim::{AcceleratorConfig, CostMetric, Evaluator};
+    use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
 
     fn run_on(graph: &cocco_graph::Graph, buffer: BufferConfig) -> (SearchOutcome, f64) {
         let eval = Evaluator::new(graph, AcceleratorConfig::default());
@@ -239,7 +183,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             0,
         );
-        let out = GreedyFusion::default().run(&ctx);
+        let out = SearchMethod::greedy().run(&ctx);
         let singles_cost = {
             let p = Partition::singletons(graph.len());
             ctx.partition_cost(&p, &buffer)

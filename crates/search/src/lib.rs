@@ -8,43 +8,45 @@
 //! * **Formula 2** (co-exploration): `BUF_SIZE + α·Σ_i Cost_M(subgraph_i)`
 //!   over a buffer search space.
 //!
-//! Implemented searchers:
+//! Implemented methods, each a [`SearchMethod`] variant with its typed
+//! configuration:
 //!
-//! | method | paper | type |
+//! | method | paper | configuration |
 //! |---|---|---|
-//! | [`CoccoGa`] | §4.3-4.4 | genetic co-exploration (the contribution) |
-//! | [`SimulatedAnnealing`] | §4.2.4 | co-exploration baseline |
-//! | [`GreedyFusion`] | §4.2.2 | Halide-style merge baseline |
-//! | [`DepthDp`] | §4.2.3 | Irregular-NN depth-ordered DP baseline |
-//! | [`Exhaustive`] | §4.2.1 | downset state-compression enumeration |
-//! | [`TwoStep`] | §5.1.3 | RS+GA / GS+GA capacity-then-partition |
+//! | [`SearchMethod::Ga`] | §4.3-4.4 | [`GaConfig`]: genetic co-exploration (the contribution) |
+//! | [`SearchMethod::Sa`] | §4.2.4 | [`SaConfig`]: co-exploration baseline |
+//! | [`SearchMethod::Greedy`] | §4.2.2 | none: Halide-style merge baseline |
+//! | [`SearchMethod::DepthDp`] | §4.2.3 | [`DepthDp`]: Irregular-NN depth-ordered DP baseline |
+//! | [`SearchMethod::Exhaustive`] | §4.2.1 | [`ExhaustiveLimits`]: downset state-compression enumeration |
+//! | [`SearchMethod::TwoStep`] | §5.1.3 | [`TwoStep`]: RS+GA / GS+GA capacity-then-partition |
+//! | [`SearchMethod::Portfolio`] | — | [`Portfolio`]: methods racing on one budget |
 //!
-//! Every searcher draws evaluations from a shared [`SampleBudget`] so
+//! Every method draws evaluations from a shared [`SampleBudget`] so
 //! "samples" are comparable across methods, and records a [`Trace`] for the
 //! convergence and distribution studies (paper Figures 12-13). All genome
 //! scoring funnels through the `cocco-engine` evaluation engine: batches
 //! run on a worker pool and repeat evaluations hit a shared memoization
 //! cache, with results bit-identical at any thread count (see
-//! [`SearchContext::evaluate_batch`]).
+//! [`SearchContext::evaluate_chunks`]).
 //!
 //! [`SearchMethod`] is the method registry: one serializable, seedable
-//! selector carrying each method's typed configuration, itself a
-//! [`Searcher`], so callers (notably the `cocco` facade) stay
-//! method-agnostic.
+//! selector carrying each method's typed configuration, so callers
+//! (notably the `cocco` facade) stay method-agnostic, and
+//! [`SearchMethod::run`] is the one way to run any of them.
 //!
 //! Under every method sits a **step-driven state machine**
 //! ([`SearchDriver`]): `next_batch` yields a batch of [`EvalCandidate`]s
 //! (with per-chunk objective/budget overrides), the harness evaluates it
 //! as one engine dispatch, `absorb` advances the method's internal state,
 //! and a serde-serializable [`DriverState`] snapshot makes any run
-//! checkpoint/resumable mid-run — bit-identically. `Searcher::run` is the
-//! thin default loop ([`run_driver`]); on top of the same surface sit the
-//! interleaved [`TwoStep`] scheme and the [`Portfolio`] meta-driver.
+//! checkpoint/resumable mid-run — bit-identically. `SearchMethod::run` is
+//! the thin default loop ([`run_driver`]); on top of the same surface sit
+//! the interleaved [`TwoStep`] scheme and the [`Portfolio`] meta-driver.
 //!
 //! # Examples
 //!
 //! ```
-//! use cocco_search::{CoccoGa, SearchContext, BufferSpace, Objective, Searcher};
+//! use cocco_search::{BufferSpace, GaConfig, Objective, SearchContext, SearchMethod};
 //! use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
 //!
 //! let graph = cocco_graph::models::diamond();
@@ -56,7 +58,7 @@
 //!     Objective::partition_only(CostMetric::Ema),
 //!     2_000,
 //! );
-//! let outcome = CoccoGa::default().with_seed(1).run(&ctx);
+//! let outcome = SearchMethod::Ga(GaConfig::default()).with_seed(1).run(&ctx);
 //! assert!(outcome.best_cost.is_finite());
 //! ```
 
@@ -86,13 +88,13 @@ pub use driver::{
     drive_step, run_driver, DriverState, EvalBatch, EvalChunk, SearchDriver, SearchSnapshot, Step,
     CHECKPOINT_VERSION,
 };
-pub use exhaustive::{Exhaustive, ExhaustiveDriver, ExhaustiveLimits, ExhaustiveState};
-pub use ga::{CoccoGa, GaConfig, GaDriver, GaState, MutationRates};
+pub use exhaustive::{ExhaustiveDriver, ExhaustiveLimits, ExhaustiveState};
+pub use ga::{GaConfig, GaDriver, GaState, MutationRates};
 pub use genome::Genome;
-pub use greedy::{GreedyDriver, GreedyFusion, GreedyState};
+pub use greedy::{GreedyDriver, GreedyState};
 pub use method::SearchMethod;
 pub use objective::{BufferSpace, Objective};
-pub use outcome::{SearchOutcome, Searcher};
+pub use outcome::SearchOutcome;
 pub use portfolio::{Portfolio, PortfolioDriver, PortfolioPolicy, PortfolioState};
-pub use sa::{SaConfig, SaDriver, SaState, SimulatedAnnealing};
+pub use sa::{SaConfig, SaDriver, SaState};
 pub use twostep::{CapacitySampling, TwoStep, TwoStepDriver, TwoStepState};

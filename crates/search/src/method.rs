@@ -3,14 +3,14 @@
 //!
 //! [`SearchMethod`] is the method-agnostic entry point of the exploration
 //! API: each variant carries the typed configuration of one search method,
-//! and the enum itself implements [`Searcher`], so any method runs through
-//! the exact same trait path — same [`SearchContext`], same budget, same
-//! trace — as invoking the underlying searcher directly.
+//! and [`SearchMethod::run`] runs any of them the one way there is — the
+//! method's [`SearchDriver`] stepped to completion on a [`SearchContext`]
+//! (its budget, trace and engine).
 //!
 //! # Examples
 //!
 //! ```
-//! use cocco_search::{BufferSpace, Objective, SearchContext, SearchMethod, Searcher};
+//! use cocco_search::{BufferSpace, Objective, SearchContext, SearchMethod};
 //! use cocco_sim::{AcceleratorConfig, Evaluator};
 //!
 //! let graph = cocco_graph::models::diamond();
@@ -32,12 +32,12 @@
 use crate::context::SearchContext;
 use crate::dp::DepthDp;
 use crate::driver::{run_driver, DriverState, SearchDriver};
-use crate::exhaustive::{Exhaustive, ExhaustiveLimits};
-use crate::ga::{CoccoGa, GaConfig, GaDriver};
-use crate::greedy::{GreedyDriver, GreedyFusion};
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::exhaustive::{ExhaustiveDriver, ExhaustiveLimits};
+use crate::ga::{GaConfig, GaDriver};
+use crate::greedy::GreedyDriver;
+use crate::outcome::SearchOutcome;
 use crate::portfolio::{Portfolio, PortfolioDriver};
-use crate::sa::{SaConfig, SimulatedAnnealing};
+use crate::sa::{SaConfig, SaDriver};
 use crate::twostep::{CapacitySampling, TwoStep, TwoStepDriver};
 use serde::{Deserialize, Serialize};
 
@@ -54,7 +54,26 @@ pub enum SearchMethod {
     /// Simulated-annealing co-exploration baseline (§4.2.4).
     Sa(SaConfig),
     /// Halide-style greedy fusion baseline (§4.2.2). Deterministic,
-    /// fixed hardware.
+    /// fixed hardware (see [`GreedyDriver`]).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cocco_search::{BufferSpace, Objective, SearchContext, SearchMethod};
+    /// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
+    ///
+    /// let g = cocco_graph::models::chain(4);
+    /// let eval = Evaluator::new(&g, AcceleratorConfig::default());
+    /// let ctx = SearchContext::new(
+    ///     &g,
+    ///     &eval,
+    ///     BufferSpace::fixed(BufferConfig::shared(4 << 20)),
+    ///     Objective::partition_only(CostMetric::Ema),
+    ///     0, // greedy is analytic: it consumes no samples
+    /// );
+    /// let outcome = SearchMethod::Greedy.run(&ctx);
+    /// assert_eq!(outcome.best.unwrap().partition.num_subgraphs(), 1);
+    /// ```
     Greedy,
     /// Depth-ordered DP baseline, Irregular-NN (§4.2.3). Deterministic,
     /// fixed hardware.
@@ -191,28 +210,37 @@ impl SearchMethod {
         }
     }
 
-    /// Instantiates the underlying searcher — the registry lookup.
-    pub fn build(&self) -> Box<dyn Searcher + Send + Sync> {
+    /// A short display name (used in experiment tables).
+    pub fn name(&self) -> &'static str {
         match self {
-            SearchMethod::Ga(cfg) => Box::new(CoccoGa::new(cfg.clone())),
-            SearchMethod::Sa(cfg) => Box::new(SimulatedAnnealing::new(*cfg)),
-            SearchMethod::Greedy => Box::new(GreedyFusion::new()),
-            SearchMethod::DepthDp(cfg) => Box::new(cfg.clone()),
-            SearchMethod::Exhaustive(limits) => Box::new(Exhaustive::new(*limits)),
-            SearchMethod::TwoStep(cfg) => Box::new(cfg.clone()),
-            SearchMethod::Portfolio(cfg) => Box::new(cfg.clone()),
+            SearchMethod::Ga(_) => "Cocco (GA)",
+            SearchMethod::Sa(_) => "SA",
+            SearchMethod::Greedy => "Halide (greedy)",
+            SearchMethod::DepthDp(_) => "Irregular-NN (DP)",
+            SearchMethod::Exhaustive(_) => "Enumeration",
+            SearchMethod::TwoStep(cfg) => match cfg.sampling {
+                CapacitySampling::Random => "RS+GA",
+                CapacitySampling::Grid => "GS+GA",
+            },
+            SearchMethod::Portfolio(_) => "Portfolio",
         }
     }
 
-    /// Instantiates the method's resumable [`SearchDriver`] — the stepped
-    /// registry lookup (`Searcher::run` is a thin loop over this).
+    /// Runs the method against `ctx`, drawing from its budget and
+    /// recording its trace: [`run_driver`] over [`driver`](Self::driver).
+    pub fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
+        run_driver(&mut *self.driver(), ctx)
+    }
+
+    /// Instantiates the method's resumable [`SearchDriver`] — the registry
+    /// lookup ([`run`](Self::run) is a thin loop over this).
     pub fn driver(&self) -> Box<dyn SearchDriver> {
         match self {
-            SearchMethod::Ga(cfg) => Box::new(CoccoGa::new(cfg.clone()).driver()),
-            SearchMethod::Sa(cfg) => Box::new(SimulatedAnnealing::new(*cfg).driver()),
-            SearchMethod::Greedy => Box::new(GreedyFusion::new().driver()),
+            SearchMethod::Ga(cfg) => Box::new(GaDriver::new(cfg.clone())),
+            SearchMethod::Sa(cfg) => Box::new(SaDriver::new(*cfg)),
+            SearchMethod::Greedy => Box::<GreedyDriver>::default(),
             SearchMethod::DepthDp(cfg) => Box::new(cfg.driver()),
-            SearchMethod::Exhaustive(limits) => Box::new(Exhaustive::new(*limits).driver()),
+            SearchMethod::Exhaustive(limits) => Box::new(ExhaustiveDriver::new(*limits)),
             SearchMethod::TwoStep(cfg) => Box::new(cfg.driver()),
             SearchMethod::Portfolio(cfg) => Box::new(cfg.driver()),
         }
@@ -227,7 +255,7 @@ impl SearchMethod {
                 Some(Box::new(GaDriver::from_state(cfg.clone(), s.clone())))
             }
             (SearchMethod::Sa(cfg), DriverState::Sa(s)) => {
-                Some(Box::new(crate::sa::SaDriver::from_state(*cfg, s.clone())))
+                Some(Box::new(SaDriver::from_state(*cfg, s.clone())))
             }
             (SearchMethod::Greedy, DriverState::Greedy(s)) => {
                 Some(Box::new(GreedyDriver::from_state(s.clone())))
@@ -235,9 +263,9 @@ impl SearchMethod {
             (SearchMethod::DepthDp(cfg), DriverState::DepthDp(s)) => Some(Box::new(
                 crate::dp::DpDriver::from_state(cfg.clone(), s.clone()),
             )),
-            (SearchMethod::Exhaustive(limits), DriverState::Exhaustive(s)) => Some(Box::new(
-                crate::exhaustive::ExhaustiveDriver::from_state(*limits, s.clone()),
-            )),
+            (SearchMethod::Exhaustive(limits), DriverState::Exhaustive(s)) => {
+                Some(Box::new(ExhaustiveDriver::from_state(*limits, s.clone())))
+            }
             (SearchMethod::TwoStep(cfg), DriverState::TwoStep(s)) => {
                 Some(Box::new(TwoStepDriver::from_state(cfg.clone(), s.clone())))
             }
@@ -254,27 +282,6 @@ impl Default for SearchMethod {
     /// The paper's default engine: the genetic algorithm.
     fn default() -> Self {
         Self::ga()
-    }
-}
-
-impl Searcher for SearchMethod {
-    fn name(&self) -> &'static str {
-        match self {
-            SearchMethod::Ga(_) => "Cocco (GA)",
-            SearchMethod::Sa(_) => "SA",
-            SearchMethod::Greedy => "Halide (greedy)",
-            SearchMethod::DepthDp(_) => "Irregular-NN (DP)",
-            SearchMethod::Exhaustive(_) => "Enumeration",
-            SearchMethod::TwoStep(cfg) => match cfg.sampling {
-                CapacitySampling::Random => "RS+GA",
-                CapacitySampling::Grid => "GS+GA",
-            },
-            SearchMethod::Portfolio(_) => "Portfolio",
-        }
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut *self.driver(), ctx)
     }
 }
 
@@ -297,7 +304,7 @@ mod tests {
     #[test]
     fn names_match_underlying_searchers() {
         for method in SearchMethod::all() {
-            assert_eq!(method.name(), method.build().name());
+            assert_eq!(method.name(), method.driver().name());
         }
     }
 
@@ -313,30 +320,6 @@ mod tests {
         assert_eq!(ts.seed, 5);
         // No-op on deterministic methods, but still returns the method.
         assert_eq!(SearchMethod::greedy().with_seed(1), SearchMethod::greedy());
-    }
-
-    #[test]
-    fn enum_matches_direct_invocation() {
-        let graph = cocco_graph::models::diamond();
-        let eval = Evaluator::new(&graph, AcceleratorConfig::default());
-        let make_ctx = || {
-            SearchContext::new(
-                &graph,
-                &eval,
-                BufferSpace::paper_shared(),
-                Objective::paper_energy_capacity(),
-                250,
-            )
-        };
-        let direct = CoccoGa::default().with_seed(3).run(&make_ctx());
-        let cfg = GaConfig {
-            seed: 3,
-            ..GaConfig::default()
-        };
-        let via_enum = SearchMethod::Ga(cfg).run(&make_ctx());
-        assert_eq!(direct.best_cost, via_enum.best_cost);
-        assert_eq!(direct.best, via_enum.best);
-        assert_eq!(direct.samples, via_enum.samples);
     }
 
     #[test]
@@ -368,6 +351,8 @@ mod tests {
         for method in [
             SearchMethod::greedy(),
             SearchMethod::depth_dp(),
+            // A zero run cap reads as 1, not as "nothing fits".
+            SearchMethod::DepthDp(DepthDp { max_run: 0 }),
             SearchMethod::exhaustive(),
         ] {
             assert!(!method.co_explores());

@@ -115,6 +115,18 @@ impl BufferSpace {
         }
     }
 
+    /// The last [`grid`](Self::grid) point — the largest configuration —
+    /// without materializing the grid: the fixed hardware the
+    /// deterministic baselines (greedy, DP, enumeration) run on.
+    pub fn largest(&self) -> BufferConfig {
+        let last = |r: &CapacityRange| r.candidate(r.len() - 1);
+        match self {
+            BufferSpace::Fixed(c) => *c,
+            BufferSpace::Separate { glb, wgt } => BufferConfig::separate(last(glb), last(wgt)),
+            BufferSpace::Shared(r) => BufferConfig::shared(last(r)),
+        }
+    }
+
     /// Every configuration of the space on its grid (for grid search);
     /// fixed spaces yield their single configuration.
     pub fn grid(&self) -> Vec<BufferConfig> {
@@ -223,6 +235,12 @@ mod tests {
             wgt: CapacityRange::new(100, 300, 100),
         };
         assert_eq!(sep.grid().len(), 6);
+        let fixed = BufferSpace::fixed(BufferConfig::shared(1 << 20));
+        // A range whose max is off the step grid ends below max.
+        let off_step = BufferSpace::Shared(CapacityRange::new(100, 250, 100));
+        for space in [fixed, space, sep, off_step, BufferSpace::paper_separate()] {
+            assert_eq!(space.grid().last(), Some(&space.largest()));
+        }
     }
 
     #[test]

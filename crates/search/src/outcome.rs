@@ -1,6 +1,5 @@
-//! Search results and the common searcher interface.
+//! Search results.
 
-use crate::context::SearchContext;
 use crate::genome::Genome;
 use serde::{Deserialize, Serialize};
 
@@ -42,16 +41,6 @@ impl SearchOutcome {
             self.best = Some(genome);
         }
     }
-}
-
-/// Common interface of every search method.
-pub trait Searcher {
-    /// A short display name (used in experiment tables).
-    fn name(&self) -> &'static str;
-
-    /// Runs the search against `ctx`, drawing from its budget and
-    /// recording its trace.
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome;
 }
 
 #[cfg(test)]

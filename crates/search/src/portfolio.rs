@@ -10,9 +10,9 @@
 //! retire after their analytic steps.
 
 use crate::context::SearchContext;
-use crate::driver::{run_driver, DriverState, EvalBatch, SearchDriver, Step};
+use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
 use crate::method::SearchMethod;
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use serde::{Deserialize, Serialize};
 
 /// When the portfolio stops.
@@ -32,7 +32,7 @@ pub enum PortfolioPolicy {
 ///
 /// ```
 /// use cocco_search::{
-///     BufferSpace, Objective, Portfolio, SearchContext, SearchMethod, Searcher,
+///     BufferSpace, Objective, Portfolio, SearchContext, SearchMethod,
 /// };
 /// use cocco_sim::{AcceleratorConfig, Evaluator};
 ///
@@ -46,7 +46,7 @@ pub enum PortfolioPolicy {
 ///     400,
 /// );
 /// let portfolio = Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()]);
-/// let outcome = portfolio.run(&ctx);
+/// let outcome = SearchMethod::Portfolio(portfolio).run(&ctx);
 /// assert!(outcome.best.is_some());
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -74,13 +74,6 @@ impl Portfolio {
     #[must_use]
     pub fn first_to_target(mut self, target: f64) -> Self {
         self.policy = PortfolioPolicy::FirstToTarget(target);
-        self
-    }
-
-    /// Sets the base seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -276,16 +269,6 @@ impl SearchDriver for PortfolioDriver {
     }
 }
 
-impl Searcher for Portfolio {
-    fn name(&self) -> &'static str {
-        "Portfolio"
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,9 +297,10 @@ mod tests {
             SearchMethod::greedy(),
             SearchMethod::ga(),
             SearchMethod::sa(),
-        ])
-        .with_seed(7);
-        let out = portfolio.run(&ctx(&g, &eval, 400));
+        ]);
+        let out = SearchMethod::Portfolio(portfolio)
+            .with_seed(7)
+            .run(&ctx(&g, &eval, 400));
         let best = out.best.expect("portfolio found nothing");
         assert!(best.partition.validate(&g).is_ok());
         // Greedy alone (it consumes no samples) can never beat the
@@ -333,10 +317,11 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         // An infinite-cost target is reached by the first finite solution:
         // the portfolio must stop long before the budget is drained.
-        let portfolio = Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()])
-            .first_to_target(f64::MAX)
-            .with_seed(3);
-        let out = portfolio.run(&ctx(&g, &eval, 100_000));
+        let portfolio =
+            Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()]).first_to_target(f64::MAX);
+        let out = SearchMethod::Portfolio(portfolio)
+            .with_seed(3)
+            .run(&ctx(&g, &eval, 100_000));
         assert!(out.best.is_some());
         assert!(
             out.samples < 100_000,
@@ -353,10 +338,10 @@ mod tests {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let member = SearchMethod::TwoStep(crate::TwoStep::random().with_per_candidate(2_000));
-        let portfolio = Portfolio::new(vec![member])
-            .first_to_target(f64::MAX)
-            .with_seed(6);
-        let out = portfolio.run(&ctx(&g, &eval, 50_000));
+        let portfolio = Portfolio::new(vec![member]).first_to_target(f64::MAX);
+        let out = SearchMethod::Portfolio(portfolio)
+            .with_seed(6)
+            .run(&ctx(&g, &eval, 50_000));
         assert!(out.best.is_some());
         assert!(
             out.samples < 10_000,
@@ -373,9 +358,12 @@ mod tests {
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let run = |threads: u32| {
             let ctx = ctx(&g, &eval, 300).with_engine(EngineConfig::with_threads(threads));
-            let out = Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()])
-                .with_seed(11)
-                .run(&ctx);
+            let out = SearchMethod::Portfolio(Portfolio::new(vec![
+                SearchMethod::ga(),
+                SearchMethod::sa(),
+            ]))
+            .with_seed(11)
+            .run(&ctx);
             (out.best_cost, out.best, out.samples, ctx.trace().points())
         };
         let serial = run(1);
@@ -389,9 +377,10 @@ mod tests {
         let g = cocco_graph::models::diamond();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         let ctx = ctx(&g, &eval, 5_000);
-        let mut driver = Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()])
-            .with_seed(1)
-            .driver();
+        let mut driver =
+            SearchMethod::Portfolio(Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()]))
+                .with_seed(1)
+                .driver();
         // Round 1: GA seed population + SA seed state in one batch.
         let step = loop {
             match driver.next_batch(&ctx) {

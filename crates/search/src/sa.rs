@@ -1,17 +1,47 @@
 //! Simulated-annealing baseline (paper §4.2.4).
 
 use crate::context::{EvalCandidate, SearchContext};
-use crate::driver::{
-    rng_from_state, rng_state, run_driver, DriverState, EvalBatch, SearchDriver, Step,
-};
+use crate::driver::{rng_from_state, rng_state, DriverState, EvalBatch, SearchDriver, Step};
 use crate::ga::{mutate, MutationRates};
 use crate::genome::Genome;
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Configuration of [`SimulatedAnnealing`].
+/// Configuration of simulated annealing over genomes, run as
+/// [`SearchMethod::Sa`](crate::SearchMethod::Sa): it uses the same mutation
+/// operators and repair pipeline as the GA ([`GaConfig`](crate::GaConfig))
+/// — the paper's co-optimizing baseline, "not as stable as the genetic
+/// algorithm in a range of benchmarks".
+///
+/// Neighbors are proposed [`neighbor_batch`](SaConfig::neighbor_batch) at a
+/// time and scored as one engine batch, so the annealing chain benefits
+/// from the worker pool while the accept/reject sequence stays
+/// seed-deterministic at any thread count.
+///
+/// # Examples
+///
+/// ```
+/// use cocco_search::{BufferSpace, Objective, SaConfig, SearchContext, SearchMethod};
+/// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
+///
+/// let g = cocco_graph::models::diamond();
+/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
+/// let ctx = SearchContext::new(
+///     &g,
+///     &eval,
+///     BufferSpace::fixed(BufferConfig::shared(1 << 20)),
+///     Objective::partition_only(CostMetric::Ema),
+///     500,
+/// );
+/// let sa = SaConfig {
+///     neighbor_batch: 4,
+///     ..SaConfig::default()
+/// };
+/// let outcome = SearchMethod::Sa(sa).run(&ctx);
+/// assert!(outcome.best_cost.is_finite());
+/// ```
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SaConfig {
     /// Initial temperature, as a fraction of the initial cost (the accept
@@ -44,69 +74,6 @@ impl Default for SaConfig {
             restart_after: 500,
             neighbor_batch: 8,
         }
-    }
-}
-
-/// Simulated annealing over genomes, using the same mutation operators and
-/// repair pipeline as [`CoccoGa`](crate::CoccoGa) — the paper's co-optimizing
-/// baseline, "not as stable as the genetic algorithm in a range of
-/// benchmarks".
-///
-/// Neighbors are proposed [`neighbor_batch`](SaConfig::neighbor_batch) at a
-/// time and scored as one engine batch, so the annealing chain benefits
-/// from the worker pool while the accept/reject sequence stays
-/// seed-deterministic at any thread count.
-///
-/// # Examples
-///
-/// ```
-/// use cocco_search::{BufferSpace, Objective, SearchContext, Searcher, SimulatedAnnealing};
-/// use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
-///
-/// let g = cocco_graph::models::diamond();
-/// let eval = Evaluator::new(&g, AcceleratorConfig::default());
-/// let ctx = SearchContext::new(
-///     &g,
-///     &eval,
-///     BufferSpace::fixed(BufferConfig::shared(1 << 20)),
-///     Objective::partition_only(CostMetric::Ema),
-///     500,
-/// );
-/// let outcome = SimulatedAnnealing::default().run(&ctx);
-/// assert!(outcome.best_cost.is_finite());
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct SimulatedAnnealing {
-    config: SaConfig,
-}
-
-impl SimulatedAnnealing {
-    /// Creates the searcher from an explicit configuration.
-    pub fn new(config: SaConfig) -> Self {
-        Self { config }
-    }
-
-    /// Sets the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-}
-
-impl SimulatedAnnealing {
-    /// The annealer as a resumable [`SearchDriver`].
-    pub fn driver(&self) -> SaDriver {
-        SaDriver::new(self.config)
-    }
-}
-
-impl Searcher for SimulatedAnnealing {
-    fn name(&self) -> &'static str {
-        "SA"
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
     }
 }
 
@@ -298,6 +265,7 @@ impl SearchDriver for SaDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::SearchMethod;
     use crate::objective::{BufferSpace, Objective};
     use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, Evaluator};
 
@@ -312,7 +280,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             1_500,
         );
-        let outcome = SimulatedAnnealing::default().with_seed(4).run(&ctx);
+        let outcome = SearchMethod::sa().with_seed(4).run(&ctx);
         let curve = ctx.trace().best_curve();
         assert!(curve.len() > 1, "SA never improved");
         assert!(outcome.best_cost < curve[0].1);
@@ -330,10 +298,7 @@ mod tests {
                 Objective::paper_energy_capacity(),
                 300,
             );
-            SimulatedAnnealing::default()
-                .with_seed(seed)
-                .run(&ctx)
-                .best_cost
+            SearchMethod::sa().with_seed(seed).run(&ctx).best_cost
         };
         assert_eq!(run(9), run(9));
     }
@@ -349,7 +314,7 @@ mod tests {
             Objective::partition_only(CostMetric::Ema),
             200,
         );
-        let outcome = SimulatedAnnealing::default().with_seed(1).run(&ctx);
+        let outcome = SearchMethod::sa().with_seed(1).run(&ctx);
         assert!(outcome.best.unwrap().partition.validate(&g).is_ok());
     }
 }

@@ -2,11 +2,11 @@
 //! partition-only GA (paper §5.1.3, "RS+GA" and "GS+GA").
 
 use crate::context::SearchContext;
-use crate::driver::{run_driver, DriverState, EvalBatch, SearchDriver, Step};
+use crate::driver::{DriverState, EvalBatch, SearchDriver, Step};
 use crate::ga::{GaConfig, GaDriver, GaState};
 use crate::genome::Genome;
 use crate::objective::{BufferSpace, Objective};
-use crate::outcome::{SearchOutcome, Searcher};
+use crate::outcome::SearchOutcome;
 use cocco_partition::Partition;
 use cocco_sim::BufferConfig;
 use rand::rngs::StdRng;
@@ -56,7 +56,7 @@ pub enum CapacitySampling {
 /// # Examples
 ///
 /// ```
-/// use cocco_search::{BufferSpace, CapacitySampling, Objective, SearchContext, Searcher, TwoStep};
+/// use cocco_search::{BufferSpace, CapacitySampling, Objective, SearchContext, SearchMethod, TwoStep};
 /// use cocco_sim::{AcceleratorConfig, CostMetric, Evaluator};
 ///
 /// let g = cocco_graph::models::diamond();
@@ -68,7 +68,7 @@ pub enum CapacitySampling {
 ///     Objective::co_exploration(CostMetric::Energy, 0.002),
 ///     1_000,
 /// );
-/// let outcome = TwoStep::random().with_per_candidate(200).run(&ctx);
+/// let outcome = SearchMethod::TwoStep(TwoStep::random().with_per_candidate(200)).run(&ctx);
 /// assert!(outcome.best.is_some());
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -115,12 +115,6 @@ impl TwoStep {
         self
     }
 
-    /// Sets the sampling seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Selects the historical sequential construction: candidates run one
     /// after another, each inner GA from scratch (the reference baseline
     /// the interleaved mode is benchmarked against).
@@ -141,19 +135,6 @@ impl TwoStep {
             alpha: None,
             outcome: SearchOutcome::empty(),
         }
-    }
-}
-
-impl Searcher for TwoStep {
-    fn name(&self) -> &'static str {
-        match self.sampling {
-            CapacitySampling::Random => "RS+GA",
-            CapacitySampling::Grid => "GS+GA",
-        }
-    }
-
-    fn run(&self, ctx: &SearchContext<'_>) -> SearchOutcome {
-        run_driver(&mut self.driver(), ctx)
     }
 }
 
@@ -266,6 +247,12 @@ impl TwoStepDriver {
         }
     }
 
+    /// Samples granted to each inner GA. A zero `per_candidate` (a public
+    /// field) means what [`TwoStep::with_per_candidate`] clamps it to.
+    fn per_candidate(&self) -> u64 {
+        self.config.per_candidate.max(1)
+    }
+
     /// The Formula-2 preference factor; the scheme requires Formula 2.
     fn alpha(ctx: &SearchContext<'_>) -> f64 {
         ctx.objective
@@ -279,8 +266,9 @@ impl TwoStepDriver {
         self.alpha = Some(Self::alpha(ctx));
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let start_samples = ctx.budget().used();
+        let per_candidate = self.per_candidate();
         let candidate_count =
-            (ctx.budget().limit().saturating_sub(start_samples) / self.config.per_candidate).max(1);
+            (ctx.budget().limit().saturating_sub(start_samples) / per_candidate).max(1);
         self.candidates = match self.config.sampling {
             CapacitySampling::Random => (0..candidate_count)
                 .map(|_| ctx.space.sample(&mut rng))
@@ -306,7 +294,7 @@ impl TwoStepDriver {
                 self.slots.push(InnerSlot {
                     ga: GaDriver::new(ga_cfg),
                     buffer,
-                    cap: self.config.per_candidate,
+                    cap: per_candidate,
                     slice: None,
                     done: false,
                     last_elite: None,
@@ -366,7 +354,7 @@ impl TwoStepDriver {
                 let i = self.next_candidate;
                 self.next_candidate += 1;
                 let remaining = ctx.budget().remaining();
-                let inner_budget = self.config.per_candidate.min(remaining);
+                let inner_budget = self.per_candidate().min(remaining);
                 let mut ga_cfg = self.config.ga.clone();
                 ga_cfg.seed = self.config.seed.wrapping_add(i as u64 + 1);
                 self.slots.push(InnerSlot {
@@ -564,6 +552,7 @@ impl SearchDriver for TwoStepDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::SearchMethod;
     use cocco_sim::{AcceleratorConfig, CostMetric, Evaluator};
 
     fn ctx<'a>(
@@ -585,7 +574,7 @@ mod tests {
         let g = cocco_graph::models::googlenet();
         let eval = Evaluator::new(&g, AcceleratorConfig::default());
         for method in [TwoStep::random(), TwoStep::grid()] {
-            let method = method.with_per_candidate(150);
+            let method = SearchMethod::TwoStep(method.with_per_candidate(150));
             let name = method.name();
             let ctx = ctx(&g, &eval, 600);
             let out = method.run(&ctx);
@@ -603,16 +592,15 @@ mod tests {
         let method = TwoStep::random().with_per_candidate(150).sequential();
         assert!(!method.interleave);
         let ctx = ctx(&g, &eval, 450);
-        let out = method.run(&ctx);
+        let out = SearchMethod::TwoStep(method).run(&ctx);
         assert!(out.best.expect("sequential").partition.validate(&g).is_ok());
         assert_eq!(out.samples, ctx.budget().used());
     }
 
     #[test]
     fn grid_traverses_large_to_small() {
-        let ts = TwoStep::grid();
-        assert_eq!(ts.name(), "GS+GA");
-        assert_eq!(TwoStep::random().name(), "RS+GA");
+        assert_eq!(SearchMethod::TwoStep(TwoStep::grid()).name(), "GS+GA");
+        assert_eq!(SearchMethod::two_step().name(), "RS+GA");
     }
 
     #[test]
@@ -630,7 +618,7 @@ mod tests {
                 Objective::co_exploration(CostMetric::Ema, 0.01),
                 100,
             );
-            let out = method.run(&ctx);
+            let out = SearchMethod::TwoStep(method).run(&ctx);
             assert!(ctx.budget().used() <= 100);
             assert_eq!(out.samples, ctx.budget().used());
         }
@@ -691,7 +679,7 @@ mod tests {
         );
         // Total conservation: a fresh run on the same context can still
         // consume the full limit.
-        let out = TwoStep::random().with_per_candidate(50).run(&ctx);
+        let out = SearchMethod::TwoStep(TwoStep::random().with_per_candidate(50)).run(&ctx);
         assert_eq!(out.samples, ctx.budget().used());
         assert_eq!(ctx.budget().used(), 200, "refunded samples were stranded");
     }

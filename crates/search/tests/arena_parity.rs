@@ -1,7 +1,7 @@
 //! Arena-path parity property test.
 //!
 //! Drives seeded random mutation / repair / crossover walks through
-//! `SearchContext::evaluate_candidates` — the same operator shapes the GA
+//! `SearchContext::evaluate_chunks` — the same operator shapes the GA
 //! uses — and checks the production batch pipeline (flat layout arenas,
 //! the shared two-level cache, deferred publication) against an oracle
 //! for **every** scored candidate: a fresh `Evaluator::eval_partition` of
@@ -14,7 +14,7 @@
 use cocco_engine::{CacheSnapshot, EngineConfig, TracePoint};
 use cocco_graph::{Graph, NodeId};
 use cocco_partition::Partition;
-use cocco_search::{BufferSpace, EvalCandidate, Genome, Objective, SearchContext};
+use cocco_search::{BufferSpace, EvalBatch, EvalCandidate, Genome, Objective, SearchContext};
 use cocco_sim::{AcceleratorConfig, BufferConfig, CostMetric, EvalOptions, Evaluator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -80,7 +80,7 @@ fn walk(model: &Graph, threads: u32) -> WalkResult {
         .collect();
     let mut costs = Vec::new();
     for _ in 0..ROUNDS {
-        let mut candidates: Vec<EvalCandidate> = (0..POP)
+        let candidates: Vec<EvalCandidate> = (0..POP)
             .map(|i| match rng.gen_range(0..3u32) {
                 0 => {
                     // Move-node mutation.
@@ -109,7 +109,10 @@ fn walk(model: &Graph, threads: u32) -> WalkResult {
                 _ => EvalCandidate::new(genomes[i].clone()),
             })
             .collect();
-        costs.extend(ctx.evaluate_candidates(&mut candidates));
+        let mut batch = EvalBatch::single(candidates);
+        ctx.evaluate_chunks(&mut batch);
+        let candidates = batch.chunks.remove(0).candidates;
+        costs.extend(candidates.iter().map(|c| c.cost));
         assert_matches_oracle(&oracle, &candidates, threads);
         for (i, candidate) in candidates.into_iter().enumerate() {
             genomes[i] = candidate.genome;

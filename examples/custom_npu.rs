@@ -31,7 +31,7 @@ fn main() -> Result<(), cocco::Error> {
         Objective::paper_energy_capacity(),
         4_000,
     );
-    let outcome = CoccoGa::default().with_seed(7).run(&ctx);
+    let outcome = SearchMethod::ga().with_seed(7).run(&ctx);
     let best = outcome.best.expect("feasible solution");
     println!(
         "recommended buffer {} KB, cost {:.3e}",

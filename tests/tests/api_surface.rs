@@ -214,3 +214,33 @@ fn with_seed_controls_every_stochastic_method() {
         assert_eq!(a.genome, b.genome, "{name} not deterministic under seed");
     }
 }
+
+#[test]
+fn zero_per_candidate_two_step_explores_like_the_clamping_builder() {
+    // `per_candidate` is a public field; 0 must not divide by zero, and
+    // must mean what `with_per_candidate(0)` clamps it to, interleaved or
+    // sequential.
+    let model = cocco::graph::models::diamond();
+    let run = |two_step: TwoStep| {
+        Cocco::new()
+            .with_method(SearchMethod::TwoStep(two_step))
+            .with_budget(40)
+            .explore(&model)
+            .unwrap()
+    };
+    for interleave in [true, false] {
+        let raw = run(TwoStep {
+            per_candidate: 0,
+            interleave,
+            ..TwoStep::random()
+        });
+        let clamped = run(TwoStep {
+            interleave,
+            ..TwoStep::random().with_per_candidate(0)
+        });
+        assert_eq!(raw.cost.to_bits(), clamped.cost.to_bits());
+        assert_eq!(raw.genome, clamped.genome);
+        assert_eq!(raw.samples, clamped.samples);
+        assert_eq!(raw.trace.points(), clamped.trace.points());
+    }
+}

@@ -17,26 +17,21 @@ fn methods() -> Vec<(SearchMethod, &'static str)> {
         (SearchMethod::depth_dp(), "dp"),
         (SearchMethod::exhaustive(), "exhaustive"),
         (
-            SearchMethod::TwoStep(TwoStep::random().with_per_candidate(120).with_seed(17)),
+            SearchMethod::TwoStep(TwoStep::random().with_per_candidate(120)).with_seed(17),
             "twostep-interleaved",
         ),
         (
-            SearchMethod::TwoStep(TwoStep::grid().with_per_candidate(120).with_seed(17)),
+            SearchMethod::TwoStep(TwoStep::grid().with_per_candidate(120)).with_seed(17),
             "twostep-grid",
         ),
         (
-            SearchMethod::TwoStep(
-                TwoStep::random()
-                    .with_per_candidate(120)
-                    .with_seed(17)
-                    .sequential(),
-            ),
+            SearchMethod::TwoStep(TwoStep::random().with_per_candidate(120).sequential())
+                .with_seed(17),
             "twostep-sequential",
         ),
         (
-            SearchMethod::Portfolio(
-                Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()]).with_seed(17),
-            ),
+            SearchMethod::Portfolio(Portfolio::new(vec![SearchMethod::ga(), SearchMethod::sa()]))
+                .with_seed(17),
             "portfolio",
         ),
     ]

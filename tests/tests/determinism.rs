@@ -26,7 +26,11 @@ fn ga_is_bit_identical_at_any_thread_count() {
             Some(t) => ctx.with_engine_telemetry(config, t),
             None => ctx.with_engine(config),
         };
-        let ga = CoccoGa::default().with_population(40).with_seed(11);
+        let ga = SearchMethod::Ga(GaConfig {
+            population: 40,
+            ..GaConfig::default()
+        })
+        .with_seed(11);
         let out = ga.run(&ctx);
         let m = ctx.engine().metrics();
         let cell = format!("{threads} threads, telemetry {}", telemetry.is_some());
@@ -121,10 +125,7 @@ fn sa_and_twostep_reproduce() {
             Objective::paper_energy_capacity(),
             400,
         );
-        SimulatedAnnealing::default()
-            .with_seed(seed)
-            .run(&ctx)
-            .best_cost
+        SearchMethod::sa().with_seed(seed).run(&ctx).best_cost
     };
     assert_eq!(sa(3), sa(3));
     let ts = |seed| {
@@ -135,8 +136,7 @@ fn sa_and_twostep_reproduce() {
             Objective::paper_energy_capacity(),
             400,
         );
-        TwoStep::random()
-            .with_per_candidate(100)
+        SearchMethod::TwoStep(TwoStep::random().with_per_candidate(100))
             .with_seed(seed)
             .run(&ctx)
             .best_cost

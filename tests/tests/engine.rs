@@ -67,7 +67,7 @@ fn interleaved_two_step_reuses_more_statistics_than_sequential() {
             budget,
         )
         .with_engine(EngineConfig::with_threads(threads));
-        let cost = method.run(&ctx).best_cost;
+        let cost = SearchMethod::TwoStep(method).run(&ctx).best_cost;
         (
             cost,
             evaluator.stats_cache_hit_rate(),

@@ -210,7 +210,12 @@ fn ga_budget_exact() {
             Objective::paper_energy_capacity(),
             budget,
         );
-        let out = CoccoGa::default().with_population(8).with_seed(1).run(&ctx);
+        let out = SearchMethod::Ga(GaConfig {
+            population: 8,
+            ..GaConfig::default()
+        })
+        .with_seed(1)
+        .run(&ctx);
         assert_eq!(out.samples, budget, "case {case}");
         assert_eq!(ctx.budget().used(), budget, "case {case}");
     }
